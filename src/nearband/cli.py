@@ -22,6 +22,7 @@ from .constants import SPEED_OF_LIGHT_M_S
 from .fresnel import gain_closed_form, to_db
 from .regimes import (
     NoCrossingError,
+    ThresholdSpec,
     band_distance,
     bmax,
     effective_rayleigh_distance,
@@ -133,7 +134,7 @@ def run_contours(scenario: Scenario) -> SweepTable:
     for tau_db in scenario.taus_db:
         if tau_db >= 0:
             raise ComputationError(f"no contour exists for tau = {tau_db} dB >= 0 dB")
-        tau_lin = 10.0 ** (tau_db / 10.0)
+        tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
         pm = product_max(tau_lin)
         g1 = main_lobe_boundary(tau_lin, g2_grid)
         for g1_i, g2_i in zip(g1, g2_grid):
@@ -156,7 +157,7 @@ def run_bmax_curve(scenario: Scenario) -> SweepTable:
         f"N={n} carrier={fc/1e9:g}GHz" for n, fc in _BMAX_PRESETS)))
     rows = []
     for tau_db in taus_db:
-        tau_lin = 10.0 ** (float(tau_db) / 10.0)
+        tau_lin = ThresholdSpec.from_db(float(tau_db)).tau_linear
         for n, fc in _BMAX_PRESETS:
             lam = SPEED_OF_LIGHT_M_S / fc
             aperture = n * scenario.dbar * lam
@@ -184,7 +185,7 @@ def run_band_map(scenario: Scenario) -> SweepTable:
     rows = []
     for f in freqs:
         for tau_db in scenario.taus_db:
-            tau_lin = 10.0 ** (tau_db / 10.0)
+            tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
             dist = band_distance(float(f), fc, tau_lin, aperture, scenario.theta_rad)
             rows.append((float(f), float(tau_db), dist, d_erd, d_fa))
     return SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), rows, meta)

@@ -269,8 +269,8 @@ def gain_closed_form(gamma1, gamma2):
 
     The value lies in [0, 1] (1 = no mismatch loss) and is even in gamma1.
     When ``2*gamma2 < SMALL_GAMMA2_CUTOFF`` the difference quotient is
-    replaced by its analytic gamma2 -> 0 limit, which is exactly 1 since
-    |C'(g1) + j S'(g1)| = |exp(j pi g1^2 / 2)|.
+    replaced by its gamma2 -> 0 limit at fixed p = g1*g2, |sinc(p)|, which
+    is exact up to O(g2^4) terms.
 
     Raises ``ValueError`` for negative gamma2 or non-finite input.
     """
@@ -282,8 +282,11 @@ def gain_closed_form(gamma1, gamma2):
         raise ValueError("gamma2 must be nonnegative")
 
     g1, g2 = np.broadcast_arrays(g1, g2)
-    out = np.ones(g1.shape)
+    out = np.empty(g1.shape)
     regular = 2.0 * g2 >= SMALL_GAMMA2_CUTOFF
+    if not regular.all():
+        small = ~regular
+        out[small] = np.abs(np.sinc(g1[small] * g2[small]))
     if regular.any():
         a1, a2 = g1[regular], g2[regular]
         c_hi, s_hi = fresnel_cs(a1 + a2)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fresnel_quadrature", "quadrature_cs"]
+__all__ = ["quadrature_cs"]
 
 # Gauss 7 / Kronrod 15 nodes and weights on [-1, 1].
 _KRONROD_X = np.array([
@@ -144,8 +144,3 @@ def quadrature_cs(x, tol: float = 1e-12):
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(c[0]), float(s[0])
     return c, s
-
-
-def fresnel_quadrature(x, tol: float = 1e-12):
-    """Alias of :func:`quadrature_cs` kept for readable call sites."""
-    return quadrature_cs(x, tol=tol)

@@ -117,10 +117,6 @@ class Scenario:
         return math.radians(self.theta_worst_deg)
 
     @property
-    def tau_linear(self) -> float:
-        return 10.0 ** (self.tau_db / 10.0)
-
-    @property
     def taus_db(self) -> tuple:
         return self.tau_list_db if self.tau_list_db else (self.tau_db,)
 

@@ -21,6 +21,7 @@ from .fresnel import fresnel_cs, gain_closed_form, gain_narrowband
 from .oracle import quadrature_cs
 from .regimes import (
     RAYLEIGH_GAIN_LINEAR,
+    ThresholdSpec,
     band_distance,
     effective_rayleigh_distance,
     fraunhofer_distance,
@@ -89,8 +90,8 @@ def _gain_chain_checks() -> list:
 
 
 def _constant_checks() -> list:
-    pm2 = product_max(10.0 ** (-2.0 / 10.0))
-    pm1 = product_max(10.0 ** (-1.0 / 10.0))
+    pm2 = product_max(ThresholdSpec.from_db(-2.0).tau_linear)
+    pm1 = product_max(ThresholdSpec.from_db(-1.0).tau_linear)
     lam28 = SPEED_OF_LIGHT_M_S / 28e9
     d_fa = fraunhofer_distance(64.0, lam28)
 

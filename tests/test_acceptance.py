@@ -14,7 +14,6 @@ from nearband.constants import SPEED_OF_LIGHT_M_S as C
 from nearband.fresnel import fresnel_cs, gain_closed_form
 from nearband.oracle import quadrature_cs
 from nearband.regimes import (
-    _march_grid,
     band_distance,
     effective_rayleigh_distance,
     fraunhofer_distance,
@@ -48,7 +47,6 @@ def test_criterion_1_fresnel_oracle():
 
 def test_criterion_2_contour_constants():
     product_max.cache_clear()
-    _march_grid.cache_clear()
     t0 = time.perf_counter()
     pm2 = product_max(_DB(-2.0))
     t1 = time.perf_counter()
@@ -191,7 +189,6 @@ points = 25
     out1, out2 = tmp_path / "fig4a.csv", tmp_path / "fig4b.csv"
     assert main(["bmax-curve", "--scenario", str(cfg), "--out", str(out1)]) == 0
     product_max.cache_clear()
-    _march_grid.cache_clear()
     assert main(["bmax-curve", "--scenario", str(cfg), "--out", str(out2)]) == 0
     reproducible = out1.read_bytes() == out2.read_bytes()
 

@@ -161,8 +161,15 @@ def test_gain_continuity_at_cutoff():
     just_above = (SMALL_GAMMA2_CUTOFF / 2) * (1 + 1e-9)
     low = gain_closed_form(g1, just_below)
     high = gain_closed_form(g1, just_above)
-    assert np.all(low == 1.0)
+    assert np.array_equal(low, np.abs(np.sinc(g1 * just_below)))
     assert np.abs(high - low).max() <= 1e-9
+
+
+def test_gain_small_gamma2_follows_sinc_of_product():
+    # below the cutoff the limit at fixed p = gamma1*gamma2 is |sinc(p)|,
+    # not 1: here p = 0.4
+    assert gain_closed_form(1e6, 4e-7) == pytest.approx(0.756827, abs=1e-6)
+    assert gain_closed_form(-1e6, 4e-7) == gain_closed_form(1e6, 4e-7)
 
 
 def test_narrowband_identity_and_threshold_point():

@@ -13,7 +13,6 @@ from nearband.regimes import (
     NoCrossingError,
     Regime,
     ThresholdSpec,
-    _march_grid,
     aperture_bandwidth_bound,
     band_distance,
     bmax,
@@ -31,11 +30,6 @@ from _oracles import sinc_threshold_root
 
 def _db(db):
     return 10.0 ** (db / 10.0)
-
-
-def _clear_caches():
-    product_max.cache_clear()
-    _march_grid.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +149,17 @@ def test_product_max_domain_errors():
 
 def test_product_max_deterministic():
     first = product_max(_db(-1.0))
-    _clear_caches()
+    product_max.cache_clear()
     second = product_max(_db(-1.0))
     assert first == second
+
+
+def test_product_max_covers_every_live_column():
+    # at tau = 0.1 live columns reach past gamma2 = 6, where a fixed search
+    # window used to end; the supremum must bound every boundary product
+    g2 = np.geomspace(6.0, 10.0, 400)
+    boundary = main_lobe_boundary(0.1, g2) * g2
+    assert product_max(0.1) >= np.nanmax(boundary)
 
 
 def test_main_lobe_boundary_contract():
@@ -252,6 +254,19 @@ def test_band_distance_divergence_sentinel():
     assert math.isfinite(band_distance(0.45 * cap, fc, tau, aperture, theta))
 
 
+def test_band_distance_diverges_near_endfire():
+    # at 89.99 deg the large-distance gamma2 falls under the small-gamma2
+    # cutoff of gain_closed_form, where the gain must still follow
+    # |sinc(gamma1*gamma2)| and fall below tau past the usable bandwidth
+    fc = 28e9
+    aperture = 64.0 * 0.5 * C / fc
+    theta = math.radians(89.99)
+    tau = _db(-1.0)
+    half_band = bmax(aperture, tau, theta) / 2
+    assert math.isfinite(band_distance(0.5 * half_band, fc, tau, aperture, theta))
+    assert math.isinf(band_distance(2.0 * half_band, fc, tau, aperture, theta))
+
+
 def test_band_distance_quantifier_spot_check():
     rng = np.random.default_rng(23)
     fc = 39e9
@@ -314,9 +329,13 @@ def test_fraunhofer_distance_values():
 
 
 def test_no_crossing_error_raised(monkeypatch):
-    # cap the search at the first window; a threshold below every null depth
-    # then has no crossing to find
+    # cap the march at its first chunk; a threshold below every null depth
+    # then has no crossing to find, and product_max must raise rather than
+    # return a value clipped by the limit
     import nearband.regimes as regimes_mod
-    monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", regimes_mod._PRODUCT_WINDOW)
+    limit = regimes_mod._PRODUCT_STEP * regimes_mod._PRODUCT_CHUNK
+    monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", limit)
     with pytest.raises(NoCrossingError):
-        regimes_mod._march_brackets(1e-9, np.array([0.5]))
+        regimes_mod._first_crossing_products(1e-9, np.array([0.5]))
+    with pytest.raises(NoCrossingError):
+        product_max.__wrapped__(_db(-3.0))
