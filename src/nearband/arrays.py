@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_M_S
-from .regimes import Regime
+from .regimes import Regime, _fresnel_distance
 
 __all__ = [
     "VARIANTS",
@@ -125,9 +125,13 @@ def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
 
 def distance_to_rx(geom: ArrayGeometry, point: ObserverPoint) -> np.ndarray:
     """Exact element-to-receiver distances r_n = sqrt(r^2 - 2 r d_n sin(theta) + d_n^2)."""
-    d_n = antenna_positions(geom)
-    r = point.range_m
-    return np.sqrt(r * r - 2.0 * r * d_n * math.sin(point.angle_rad) + d_n * d_n)
+    return _element_distances(antenna_positions(geom), point.range_m, point.angle_rad)
+
+
+def _element_distances(d_n, r: float, theta_rad: float) -> np.ndarray:
+    """Element distances from positions d_n and range r, both in metres or
+    both in wavelengths."""
+    return np.sqrt(r * r - 2.0 * r * d_n * math.sin(theta_rad) + d_n * d_n)
 
 
 def _path_minus_center(geom: ArrayGeometry, point: ObserverPoint, variant: str) -> np.ndarray:
@@ -185,7 +189,7 @@ def gain_exact(geom: ArrayGeometry, point: ObserverPoint, channel_variant: str,
 
 def check_fresnel_region(geom: ArrayGeometry, point: ObserverPoint) -> bool:
     """True iff every element distance satisfies r_n > 0.5 sqrt(L^3 / lambda_c)."""
-    threshold = 0.5 * math.sqrt(geom.aperture_m**3 / geom.wavelength_m)
+    threshold = _fresnel_distance(geom.aperture_m, geom.wavelength_m)
     return bool(distance_to_rx(geom, point).min() > threshold)
 
 
@@ -199,15 +203,6 @@ def as_regime(geom: ArrayGeometry, point: ObserverPoint, baseband_hz: float = 0.
         lbar=geom.lbar,
         theta_rad=point.angle_rad,
     )
-
-
-def _fresnel_ok_normalized(regime: Regime, n_antennas: int) -> bool:
-    n = np.arange(n_antennas)
-    d_n = (2.0 * n - n_antennas + 1) * (regime.dbar / 2.0)
-    sin_t = math.sin(regime.theta_rad)
-    r = regime.rbar
-    rn = np.sqrt(r * r - 2.0 * r * d_n * sin_t + d_n * d_n)
-    return bool(rn.min() > 0.5 * math.sqrt(regime.lbar**3))
 
 
 def gain_fresnel_sum(regime: Regime, n_antennas: int) -> float:
@@ -224,18 +219,20 @@ def gain_fresnel_sum(regime: Regime, n_antennas: int) -> float:
     """
     if n_antennas < 1:
         raise ValueError("n_antennas must be a positive integer")
-    if not _fresnel_ok_normalized(regime, n_antennas):
+    n = np.arange(n_antennas)
+    centered = n - (n_antennas - 1) / 2.0
+    # element distances and the near-field floor, both in wavelengths
+    rn = _element_distances(centered * regime.dbar, regime.rbar, regime.theta_rad)
+    if not rn.min() > _fresnel_distance(regime.lbar, 1.0):
         warnings.warn(
             "configuration violates the Fresnel-region condition; the "
             "quadratic-phase gain may be inaccurate",
             FresnelRegionWarning,
             stacklevel=2,
         )
-    n = np.arange(n_antennas)
     sin_t = math.sin(regime.theta_rad)
     cos_t = math.cos(regime.theta_rad)
     phi_wb = -n * regime.dbar * sin_t * regime.fbar
-    centered = n - (n_antennas - 1) / 2.0
     phi_nf = (regime.fbar + 1.0) * (regime.dbar**2 / (2.0 * regime.rbar)) \
         * cos_t * cos_t * centered * centered
     total = np.exp(2j * np.pi * (phi_wb + phi_nf)).sum()

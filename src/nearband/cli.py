@@ -4,14 +4,17 @@ Subcommands mirror the library's analyses: the gain surface and its 1D
 cuts, traced threshold contours with the extracted product constant, the
 bandwidth-vs-threshold curves for the built-in band presets, the
 frequency-resolved near-field boundary map, and a self-verification
-suite.  Exit codes: 0 success, 1 usage error, 2 computation error,
-3 verification failure.
+suite.  Each ``run_*`` sweep returns its table together with the
+arguments of the ``--svg`` chart, built from the arrays it swept: at most
+6 gamma2 columns of the gain surface, 8 thresholds of the contours and
+the band map, every gain cut, and the four bmax-curve presets.  Exit
+codes: 0 success, 1 usage error, 2 computation error, 3 verification
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
@@ -84,49 +87,52 @@ def _sweep_values(scenario: Scenario) -> np.ndarray:
     return np.linspace(s.lo, s.hi, s.points)
 
 
-def run_gain_surface(scenario: Scenario) -> SweepTable:
+def _stride(seq, k: int):
+    """At most k evenly strided items of seq, starting with the first."""
+    return seq[:: max(1, len(seq) // k)][:k]
+
+
+def run_gain_surface(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Gain (dB) over a rectangular (gamma1, gamma2) grid."""
     g = scenario.grid
     g1 = np.linspace(-g.gamma1_max, g.gamma1_max, g.gamma1_points)
     g2 = np.linspace(g.gamma2_max / g.gamma2_points, g.gamma2_max, g.gamma2_points)
     gains_db = to_db(gain_closed_form(g1[:, None], g2[None, :]))
-    rows = [
-        (float(g1[i]), float(g2[j]), float(gains_db[i, j]))
-        for i in range(g.gamma1_points)
-        for j in range(g.gamma2_points)
-    ]
+    g1, g2 = g1.tolist(), g2.tolist()
+    rows = [(x, y, v) for x, row in zip(g1, gains_db.tolist()) for y, v in zip(g2, row)]
     meta = _base_metadata(scenario, "gain-surface")
     meta.append(("grid", f"gamma1 linspace(+-{g.gamma1_max!r}, {g.gamma1_points}) x "
                          f"gamma2 linspace(0, {g.gamma2_max!r}, {g.gamma2_points}]"))
-    return SweepTable(("gamma1", "gamma2", "gain_db"), rows, meta)
+    series = [(f"gamma2={g2[j]:g}", g1, gains_db[:, j].tolist())
+              for j in _stride(range(len(g2)), 6)]
+    return (SweepTable(("gamma1", "gamma2", "gain_db"), rows, meta),
+            (series, "gain surface cuts", "gamma1", "gain (dB)"))
 
 
-def run_gain_cuts(scenario: Scenario) -> SweepTable:
+def run_gain_cuts(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """1D cuts: gain vs gamma2 at fixed gamma1 values and vice versa."""
     g, cuts = scenario.grid, scenario.cuts
-    rows = []
+    g1_axis = np.linspace(-g.gamma1_max, g.gamma1_max, cuts.points)
+    g2_axis = np.linspace(g.gamma2_max / cuts.points, g.gamma2_max, cuts.points)
+    # a cut with gamma1 held fixed sweeps gamma2, and vice versa
+    layout = [(f"fixed gamma1 = {v!r}", "gamma2", v, g2_axis) for v in cuts.gamma1_values]
+    layout += [(f"fixed gamma2 = {v!r}", "gamma1", g1_axis, v) for v in cuts.gamma2_values]
+    rows, series = [], []
     meta = _base_metadata(scenario, "gain-cuts")
-    cut_id = 0
-    for g1_fixed in cuts.gamma1_values:
-        x = np.linspace(g.gamma2_max / cuts.points, g.gamma2_max, cuts.points)
-        y = to_db(gain_closed_form(g1_fixed, x))
-        meta.append((f"cut.{cut_id}", f"fixed gamma1 = {g1_fixed!r}, sweep gamma2"))
-        rows.extend((cut_id, float(g1_fixed), float(xx), float(yy))
-                    for xx, yy in zip(x, y))
-        cut_id += 1
-    for g2_fixed in cuts.gamma2_values:
-        x = np.linspace(-g.gamma1_max, g.gamma1_max, cuts.points)
-        y = to_db(gain_closed_form(x, g2_fixed))
-        meta.append((f"cut.{cut_id}", f"fixed gamma2 = {g2_fixed!r}, sweep gamma1"))
-        rows.extend((cut_id, float(xx), float(g2_fixed), float(yy))
-                    for xx, yy in zip(x, y))
-        cut_id += 1
-    return SweepTable(("cut_id", "gamma1", "gamma2", "gain_db"), rows, meta)
+    for cut_id, (label, swept, g1, g2) in enumerate(layout):
+        meta.append((f"cut.{cut_id}", f"{label}, sweep {swept}"))
+        g1, g2 = np.broadcast_arrays(g1, g2)
+        ys = to_db(gain_closed_form(g1, g2)).tolist()
+        g1, g2 = g1.tolist(), g2.tolist()
+        rows.extend((cut_id, x1, x2, y) for x1, x2, y in zip(g1, g2, ys))
+        series.append((label, g2 if swept == "gamma2" else g1, ys))
+    return (SweepTable(("cut_id", "gamma1", "gamma2", "gain_db"), rows, meta),
+            (series, "gain cuts", "swept gamma", "gain (dB)"))
 
 
-def run_contours(scenario: Scenario) -> SweepTable:
+def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Main-lobe boundary points and the extracted product constant per tau."""
-    rows = []
+    rows, series = [], []
     meta = _base_metadata(scenario, "contours")
     meta.append(("contour.gamma2_grid",
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
@@ -137,43 +143,47 @@ def run_contours(scenario: Scenario) -> SweepTable:
         tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
         pm = product_max(tau_lin)
         g1 = main_lobe_boundary(tau_lin, g2_grid)
-        for g1_i, g2_i in zip(g1, g2_grid):
-            if math.isfinite(g1_i):
-                rows.append((float(tau_db), float(g1_i), float(g2_i),
-                             float(g1_i * g2_i), pm))
-    return SweepTable(("tau_db", "gamma1", "gamma2", "product", "product_max"),
-                      rows, meta)
+        live = np.isfinite(g1)
+        xs, ys = g1[live].tolist(), g2_grid[live].tolist()
+        rows.extend((float(tau_db), x, y, x * y, pm) for x, y in zip(xs, ys))
+        if xs:
+            series.append((f"tau_db={tau_db:g}", xs, ys))
+    return (SweepTable(("tau_db", "gamma1", "gamma2", "product", "product_max"),
+                       rows, meta),
+            (_stride(series, 8), "main-lobe contours", "gamma1", "gamma2"))
 
 
-def run_bmax_curve(scenario: Scenario) -> SweepTable:
+def run_bmax_curve(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Maximum usable bandwidth vs gain threshold for the band presets."""
     if scenario.sweep is None or scenario.sweep.axis != "tau_db":
         raise ScenarioError("sweep.axis: bmax-curve requires a tau_db sweep")
-    taus_db = _sweep_values(scenario)
+    taus_db = _sweep_values(scenario).tolist()
     if taus_db[-1] >= 0:
         raise ScenarioError("sweep.max: tau_db sweep must stay below 0 dB")
     meta = _base_metadata(scenario, "bmax-curve")
     meta.append(("presets", "; ".join(
         f"N={n} carrier={fc/1e9:g}GHz" for n, fc in _BMAX_PRESETS)))
-    rows = []
-    for tau_db in taus_db:
-        tau_lin = ThresholdSpec.from_db(float(tau_db)).tau_linear
-        for n, fc in _BMAX_PRESETS:
-            lam = SPEED_OF_LIGHT_M_S / fc
-            aperture = n * scenario.dbar * lam
-            rows.append((float(tau_db), aperture, fc,
-                         bmax(aperture, tau_lin, scenario.theta_worst_rad)))
-    return SweepTable(("tau_db", "aperture_m", "carrier_hz", "bmax_hz"), rows, meta)
+    presets = [(n * scenario.dbar * (SPEED_OF_LIGHT_M_S / fc), fc) for n, fc in _BMAX_PRESETS]
+    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db]
+    bw = [[bmax(aperture, tau_lin, scenario.theta_worst_rad) for aperture, _ in presets]
+          for tau_lin in taus_lin]
+    rows = [(tau_db, aperture, fc, b) for tau_db, bs in zip(taus_db, bw)
+            for (aperture, fc), b in zip(presets, bs)]
+    # one series per preset, so at most four
+    series = [(f"L={aperture:g}", taus_db, [bs[k] for bs in bw])
+              for k, (aperture, _) in enumerate(presets)]
+    return (SweepTable(("tau_db", "aperture_m", "carrier_hz", "bmax_hz"), rows, meta),
+            (series, "max usable bandwidth", "tau (dB)", "B_max (Hz)", False, True))
 
 
-def run_band_map(scenario: Scenario) -> SweepTable:
+def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Near-field boundary distance vs frequency offset, per threshold."""
     if scenario.sweep is None or scenario.sweep.axis != "f_hz":
         raise ScenarioError("sweep.axis: band-map requires an f_hz sweep")
     fc = scenario.carrier_hz
     if not (-fc < scenario.sweep.lo and scenario.sweep.hi < fc):
         raise ScenarioError("sweep.min: band-map offsets must lie within (-carrier, +carrier)")
-    freqs = _sweep_values(scenario)
+    freqs = _sweep_values(scenario).tolist()
     lam = SPEED_OF_LIGHT_M_S / fc
     lbar = scenario.n_antennas * scenario.dbar
     aperture = lbar * lam
@@ -182,13 +192,16 @@ def run_band_map(scenario: Scenario) -> SweepTable:
     meta = _base_metadata(scenario, "band-map")
     meta.append(("band_m.sentinel",
                  "inf = diverged: offset beyond the usable bandwidth"))
-    rows = []
-    for f in freqs:
-        for tau_db in scenario.taus_db:
-            tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
-            dist = band_distance(float(f), fc, tau_lin, aperture, scenario.theta_rad)
-            rows.append((float(f), float(tau_db), dist, d_erd, d_fa))
-    return SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), rows, meta)
+    taus = [(tau_db, ThresholdSpec.from_db(tau_db).tau_linear) for tau_db in scenario.taus_db]
+    dist = [[band_distance(f, fc, tau_lin, aperture, scenario.theta_rad)
+             for _, tau_lin in taus] for f in freqs]
+    rows = [(f, float(tau_db), d, d_erd, d_fa) for f, ds in zip(freqs, dist)
+            for (tau_db, _), d in zip(taus, ds)]
+    series = [(f"tau_db={tau_db:g}", freqs, [ds[k] for ds in dist])
+              for k, (tau_db, _) in _stride(list(enumerate(taus)), 8)]
+    return (SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), rows, meta),
+            (series, "near-field boundary vs offset", "f (Hz)", "distance (m)",
+             False, True))
 
 
 _COMMANDS = {
@@ -198,58 +211,6 @@ _COMMANDS = {
     "bmax-curve": run_bmax_curve,
     "band-map": run_band_map,
 }
-
-
-def _svg_for(command: str, table: SweepTable) -> str:
-    cols = {name: i for i, name in enumerate(table.columns)}
-    rows = table.rows
-
-    def series_by(key_col: str, x_col: str, y_col: str, label: str, max_series=8):
-        keys = []
-        for r in rows:
-            if r[cols[key_col]] not in keys:
-                keys.append(r[cols[key_col]])
-        if len(keys) > max_series:
-            keys = keys[:: max(1, len(keys) // max_series)][:max_series]
-        out = []
-        for k in keys:
-            xs = [r[cols[x_col]] for r in rows if r[cols[key_col]] == k]
-            ys = [r[cols[y_col]] for r in rows if r[cols[key_col]] == k]
-            out.append((f"{label}={k:g}" if isinstance(k, float) else f"{label}={k}",
-                        xs, ys))
-        return out
-
-    if command == "gain-surface":
-        return svg_line_chart(series_by("gamma2", "gamma1", "gain_db", "gamma2", 6),
-                              "gain surface cuts", "gamma1", "gain (dB)")
-    if command == "gain-cuts":
-        # a cut with gamma1 held fixed sweeps gamma2, and vice versa
-        return svg_line_chart(
-            [(label, [r[cols["gamma2" if "gamma1" in label else "gamma1"]]
-                      for r in rows if r[cols["cut_id"]] == k],
-              [r[cols["gain_db"]] for r in rows if r[cols["cut_id"]] == k])
-             for k, label in _cut_labels(table)],
-            "gain cuts", "swept gamma", "gain (dB)")
-    if command == "contours":
-        return svg_line_chart(series_by("tau_db", "gamma1", "gamma2", "tau_db"),
-                              "main-lobe contours", "gamma1", "gamma2")
-    if command == "bmax-curve":
-        return svg_line_chart(series_by("aperture_m", "tau_db", "bmax_hz", "L", 4),
-                              "max usable bandwidth", "tau (dB)", "B_max (Hz)",
-                              logy=True)
-    if command == "band-map":
-        return svg_line_chart(series_by("tau_db", "f_hz", "band_m", "tau_db"),
-                              "near-field boundary vs offset", "f (Hz)",
-                              "distance (m)", logy=True)
-    raise ValueError(f"no chart defined for {command!r}")
-
-
-def _cut_labels(table: SweepTable):
-    labels = {}
-    for key, value in table.metadata:
-        if key.startswith("cut."):
-            labels[int(key.split(".", 1)[1])] = value.split(",")[0]
-    return sorted(labels.items())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,7 +268,7 @@ def main(argv=None) -> int:
     try:
         scenario = parse_scenario(text, _parse_overrides(args.set),
                                   taus_are_linear=args.linear)
-        table = _COMMANDS[args.command](scenario)
+        table, chart = _COMMANDS[args.command](scenario)
     except ScenarioError as exc:
         print(f"nearband: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -319,8 +280,7 @@ def main(argv=None) -> int:
     try:
         out.write_bytes(emit_csv(table))
         if args.svg:
-            out.with_suffix(".svg").write_text(_svg_for(args.command, table),
-                                               encoding="utf-8")
+            out.with_suffix(".svg").write_text(svg_line_chart(*chart), encoding="utf-8")
     except OSError as exc:
         print(f"nearband: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -97,18 +97,20 @@ class ThresholdSpec:
         return cls(10.0 ** (tau_db / 10.0))
 
 
+def _gamma_map(fbar: float, rbar, lbar: float, theta_rad: float):
+    """(gamma1, gamma2) at normalized distance(s) rbar, scalar or array."""
+    g2 = lbar * math.cos(theta_rad) * np.sqrt((1.0 + fbar) / (2.0 * rbar))
+    return -fbar * lbar * math.sin(theta_rad) / g2, g2
+
+
 def gamma_from_regime(regime: Regime) -> GammaPair:
     """Map a normalized configuration to its gain-surface coordinates.
 
     gamma1 = -tan(theta) * fbar * sqrt(2 rbar / (1 + fbar))
     gamma2 = lbar * cos(theta) * sqrt((1 + fbar) / (2 rbar))
     """
-    one_plus = 1.0 + regime.fbar
-    if one_plus <= 0.0:
-        raise ValueError("gamma map requires 1 + fbar > 0")
-    g1 = -math.tan(regime.theta_rad) * regime.fbar * math.sqrt(2.0 * regime.rbar / one_plus)
-    g2 = regime.lbar * math.cos(regime.theta_rad) * math.sqrt(one_plus / (2.0 * regime.rbar))
-    return GammaPair(g1, g2)
+    g1, g2 = _gamma_map(regime.fbar, regime.rbar, regime.lbar, regime.theta_rad)
+    return GammaPair(float(g1), float(g2))
 
 
 def fbar_from_gamma(pair: GammaPair, lbar: float, theta_rad: float) -> float:
@@ -264,15 +266,6 @@ _BAND_POINTS_PER_DECADE = 64
 _BAND_REL_TOL = 1e-6
 
 
-def _gain_vs_rbar(rbar, fbar: float, lbar: float, theta_rad: float):
-    """Gain at normalized distance rbar for a fixed frequency offset."""
-    rbar = np.asarray(rbar, dtype=float)
-    one_plus = 1.0 + fbar
-    g2 = lbar * math.cos(theta_rad) * np.sqrt(one_plus / (2.0 * rbar))
-    g1 = -fbar * lbar * math.sin(theta_rad) / g2
-    return gain_closed_form(g1, g2)
-
-
 def band_distance(
     f_hz: float,
     fc_hz: float,
@@ -302,16 +295,19 @@ def band_distance(
 
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
-    r_lo = max(0.5 * math.sqrt(aperture_m**3 / lam), 1e-3 * lam * lbar * lbar)
-    r_hi = 1e6 * (2.0 * lbar * lbar * lam)
+    r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
+    r_hi = 1e6 * fraunhofer_distance(lbar, lam)
 
-    if float(_gain_vs_rbar(r_hi / lam, fbar, lbar, theta_rad)) < tau_linear:
+    def gain(rbar):
+        return gain_closed_form(*_gamma_map(fbar, rbar, lbar, theta_rad))
+
+    if gain(r_hi / lam) < tau_linear:
         return math.inf
 
     decades = math.log10(r_hi / r_lo)
     n = max(int(math.ceil(decades * _BAND_POINTS_PER_DECADE)), 2) + 1
     rbars = np.geomspace(r_lo / lam, r_hi / lam, n)
-    gains = _gain_vs_rbar(rbars, fbar, lbar, theta_rad)
+    gains = gain(rbars)
     below = gains < tau_linear
     if not below.any():
         return r_lo
@@ -320,7 +316,7 @@ def band_distance(
     lo, hi = float(rbars[i]), float(rbars[i + 1])
     while (hi - lo) > _BAND_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if float(_gain_vs_rbar(mid, fbar, lbar, theta_rad)) < tau_linear:
+        if gain(mid) < tau_linear:
             lo = mid
         else:
             hi = mid
@@ -331,9 +327,15 @@ def effective_rayleigh_distance(theta_rad: float, lbar: float, wavelength_m: flo
     """Angle-dependent near-field boundary at the 0.95 linear gain level:
     0.367 * cos^2(theta) * 2 * lbar^2 * lambda_c."""
     cos_t = math.cos(theta_rad)
-    return RAYLEIGH_COEFF * cos_t * cos_t * (2.0 * lbar * lbar * wavelength_m)
+    return RAYLEIGH_COEFF * cos_t * cos_t * fraunhofer_distance(lbar, wavelength_m)
 
 
 def fraunhofer_distance(lbar: float, wavelength_m: float) -> float:
     """Classical far-field boundary 2 * lbar^2 * lambda_c (= 2 L^2 / lambda)."""
     return 2.0 * lbar * lbar * wavelength_m
+
+
+def _fresnel_distance(aperture: float, wavelength: float) -> float:
+    """Radiating near-field floor 0.5 * sqrt(L^3 / lambda), in the unit of
+    its arguments (metres, or wavelengths with wavelength = 1)."""
+    return 0.5 * math.sqrt(aperture**3 / wavelength)

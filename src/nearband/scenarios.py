@@ -17,23 +17,23 @@ Schema (version 1)::
     theta_worst_deg = <float>     ; default 60, 0 < |theta| < 90
     tau_list_db = <floats, comma separated>   ; default: tau_db
 
-    [sweep]                       ; needed by band-map / bmax-curve
-    axis = f_hz|tau_db|r_m|gamma1|gamma2
+    [sweep]                       ; needed by band-map (f_hz) / bmax-curve (tau_db)
+    axis = f_hz|tau_db
     min = <float>                 ; min < max
     max = <float>
-    points = <int >= 2>
+    points = <int >= 2>           ; at most 10,000
     scale = linear|log            ; default linear
 
     [grid]                        ; gain-surface defaults shown
     gamma1_max = 3.0
     gamma2_max = 3.0
-    gamma1_points = 121
-    gamma2_points = 120
+    gamma1_points = 121           ; gamma1_points * gamma2_points
+    gamma2_points = 120           ; at most 1,000,000
 
     [cuts]                        ; gain-cuts defaults shown
     gamma1_values = 0, 0.5, 1
     gamma2_values = 0.5, 1, 2
-    points = 200
+    points = 200                  ; points * (number of values) at most 1,000,000
 
 Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
@@ -46,7 +46,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "ScenarioError",
@@ -63,7 +63,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 PRESET_CARRIER_HZ = {"n261": 28e9, "n260": 39e9}
-SWEEP_AXES = ("f_hz", "tau_db", "r_m", "gamma1", "gamma2")
+SWEEP_AXES = ("f_hz", "tau_db")
+# Size caps: every sweep materialises its rows in memory.
+_MAX_SWEEP_POINTS = 10_000
+_MAX_TABLE_ROWS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -153,8 +156,8 @@ _KNOWN = {
         "dbar", "theta_deg", "theta_worst_deg", "tau_list_db",
     ),
     "sweep": ("axis", "min", "max", "points", "scale"),
-    "grid": ("gamma1_max", "gamma2_max", "gamma1_points", "gamma2_points"),
-    "cuts": ("gamma1_values", "gamma2_values", "points"),
+    "grid": tuple(f.name for f in fields(GridSpec)),
+    "cuts": tuple(f.name for f in fields(CutSpec)),
 }
 
 
@@ -213,8 +216,18 @@ def _as_float_list(path: str, text: str) -> tuple:
     return tuple(_as_float(path, p) for p in parts)
 
 
-def _tau_db_from_raw(path: str, text: str, linear: bool) -> float:
-    value = _as_float(path, text)
+def _spec(raw: dict, section: str, cls):
+    """A GridSpec or CutSpec from its section; absent keys keep the defaults."""
+    convert = {float: _as_float, int: _as_int, tuple: _as_float_list}
+    values = {}
+    for f in fields(cls):
+        text = _take(raw, section, f.name)
+        values[f.name] = f.default if text is None \
+            else convert[type(f.default)](f"{section}.{f.name}", text)
+    return cls(**values)
+
+
+def _tau_db(path: str, value: float, linear: bool) -> float:
     if linear:
         if not (0.0 < value < 1.0):
             raise ScenarioError(f"{path}: linear threshold must lie in (0, 1)")
@@ -269,9 +282,10 @@ def parse_scenario(text: str, overrides: dict | None = None,
     if n_antennas < 1:
         raise ScenarioError("scenario.n_antennas: must be >= 1")
 
-    tau_db = _tau_db_from_raw("scenario.tau_db",
-                              _take(raw, "scenario", "tau_db", required=True),
-                              taus_are_linear)
+    tau_db = _tau_db("scenario.tau_db",
+                     _as_float("scenario.tau_db",
+                               _take(raw, "scenario", "tau_db", required=True)),
+                     taus_are_linear)
 
     dbar = _as_float("scenario.dbar", _take(raw, "scenario", "dbar", default="0.5"))
     if dbar <= 0:
@@ -290,11 +304,9 @@ def parse_scenario(text: str, overrides: dict | None = None,
     tau_list_text = _take(raw, "scenario", "tau_list_db")
     tau_list_db = ()
     if tau_list_text is not None:
-        parts = [p.strip() for p in tau_list_text.split(",") if p.strip()]
-        if not parts:
-            raise ScenarioError("scenario.tau_list_db: expected at least one number")
         tau_list_db = tuple(
-            _tau_db_from_raw("scenario.tau_list_db", p, taus_are_linear) for p in parts
+            _tau_db("scenario.tau_list_db", v, taus_are_linear)
+            for v in _as_float_list("scenario.tau_list_db", tau_list_text)
         )
 
     sweep = None
@@ -309,6 +321,8 @@ def parse_scenario(text: str, overrides: dict | None = None,
         points = _as_int("sweep.points", _take(raw, "sweep", "points", required=True))
         if points < 2:
             raise ScenarioError("sweep.points: must be >= 2")
+        if points > _MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep.points: must be <= {_MAX_SWEEP_POINTS}")
         scale = _take(raw, "sweep", "scale", default="linear")
         if scale not in ("linear", "log"):
             raise ScenarioError(f"sweep.scale: expected linear|log, got {scale!r}")
@@ -316,30 +330,21 @@ def parse_scenario(text: str, overrides: dict | None = None,
             raise ScenarioError("sweep.min: log scale requires positive bounds")
         sweep = SweepSpec(axis, lo, hi, points, scale)
 
-    grid = GridSpec()
-    if "grid" in raw:
-        g1m = _as_float("grid.gamma1_max", _take(raw, "grid", "gamma1_max", default="3.0"))
-        g2m = _as_float("grid.gamma2_max", _take(raw, "grid", "gamma2_max", default="3.0"))
-        g1p = _as_int("grid.gamma1_points", _take(raw, "grid", "gamma1_points", default="121"))
-        g2p = _as_int("grid.gamma2_points", _take(raw, "grid", "gamma2_points", default="120"))
-        if g1m <= 0 or g2m <= 0:
-            raise ScenarioError("grid.gamma1_max: grid extents must be positive")
-        if g1p < 2 or g2p < 2:
-            raise ScenarioError("grid.gamma1_points: grids need at least 2 points")
-        grid = GridSpec(g1m, g2m, g1p, g2p)
+    grid = _spec(raw, "grid", GridSpec)
+    if grid.gamma1_max <= 0 or grid.gamma2_max <= 0:
+        raise ScenarioError("grid.gamma1_max: grid extents must be positive")
+    if grid.gamma1_points < 2 or grid.gamma2_points < 2:
+        raise ScenarioError("grid.gamma1_points: grids need at least 2 points")
+    if grid.gamma1_points * grid.gamma2_points > _MAX_TABLE_ROWS:
+        raise ScenarioError(
+            f"grid.gamma1_points: gamma1_points * gamma2_points must be <= {_MAX_TABLE_ROWS}")
 
-    cuts = CutSpec()
-    if "cuts" in raw:
-        g1v = _take(raw, "cuts", "gamma1_values")
-        g2v = _take(raw, "cuts", "gamma2_values")
-        pts = _as_int("cuts.points", _take(raw, "cuts", "points", default="200"))
-        if pts < 2:
-            raise ScenarioError("cuts.points: must be >= 2")
-        cuts = CutSpec(
-            _as_float_list("cuts.gamma1_values", g1v) if g1v is not None else CutSpec.gamma1_values,
-            _as_float_list("cuts.gamma2_values", g2v) if g2v is not None else CutSpec.gamma2_values,
-            pts,
-        )
+    cuts = _spec(raw, "cuts", CutSpec)
+    if cuts.points < 2:
+        raise ScenarioError("cuts.points: must be >= 2")
+    if cuts.points * (len(cuts.gamma1_values) + len(cuts.gamma2_values)) > _MAX_TABLE_ROWS:
+        raise ScenarioError(
+            f"cuts.points: points times the number of cut values must be <= {_MAX_TABLE_ROWS}")
 
     return Scenario(
         carrier_hz=carrier_hz,

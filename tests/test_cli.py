@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import math
+import re
 
 import pytest
 
@@ -171,6 +172,39 @@ def test_svg_emission(tmp_path, scenario_file):
     svg = (tmp_path / "bandmap.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
     assert "polyline" in svg
+
+
+def _svg_legends(tmp_path, scenario_file, command, doc):
+    cfg = scenario_file(doc)
+    out = tmp_path / f"{command}.csv"
+    assert main([command, "--scenario", str(cfg), "--out", str(out), "--svg"]) == EXIT_OK
+    svg = out.with_suffix(".svg").read_text()
+    return re.findall(r'font-size="11">([^<]*)</text>', svg)
+
+
+def test_svg_gain_cuts_legends(tmp_path, scenario_file):
+    assert _svg_legends(tmp_path, scenario_file, "gain-cuts", MINIMAL) == [
+        "fixed gamma1 = 0.0", "fixed gamma1 = 0.5", "fixed gamma1 = 1.0",
+        "fixed gamma2 = 0.5", "fixed gamma2 = 1.0", "fixed gamma2 = 2.0"]
+
+
+def test_svg_gain_surface_draws_six_gamma2_columns(tmp_path, scenario_file):
+    legends = _svg_legends(tmp_path, scenario_file, "gain-surface", MINIMAL)
+    # 120 gamma2 columns of width 0.025, every 20th drawn
+    assert legends == [f"gamma2={0.025 * (1 + 20 * k):g}" for k in range(6)]
+
+
+def test_svg_bmax_curve_draws_each_preset(tmp_path, scenario_file):
+    legends = _svg_legends(tmp_path, scenario_file, "bmax-curve", TAU_SWEEP)
+    assert len(legends) == 4 and all(l.startswith("L=") for l in legends)
+
+
+def test_svg_contours_caps_at_eight_series(tmp_path, scenario_file):
+    taus = [-0.1, -0.3, -0.5, -0.8, -1.0, -1.5, -2.0, -2.5, -3.0]
+    doc = MINIMAL.replace("tau_list_db = -0.2, -1, -2",
+                          "tau_list_db = " + ", ".join(map(str, taus)))
+    legends = _svg_legends(tmp_path, scenario_file, "contours", doc)
+    assert legends == [f"tau_db={t:g}" for t in taus[:8]]
 
 
 def test_linear_flag(tmp_path, scenario_file):

@@ -57,6 +57,13 @@ def test_n261_preset_carrier():
     (lambda d: d + "theta_deg = 95\n", "|theta| < 90"),
     (lambda d: d + "dbar = -0.5\n", "positive"),
     (lambda d: d + "\n[sweep]\naxis = q\nmin = 0\nmax = 1\npoints = 4\n", "unknown axis"),
+    (lambda d: d + "\n[sweep]\naxis = r_m\nmin = 1\nmax = 2\npoints = 4\n", "unknown axis"),
+    (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = 0\nmax = 1\npoints = 10001\n",
+     "sweep.points: must be <= 10000"),
+    (lambda d: d + "\n[grid]\ngamma1_points = 1001\ngamma2_points = 1000\n",
+     "grid.gamma1_points: .* <= 1000000"),
+    (lambda d: d + "\n[cuts]\ngamma1_values = 0, 1\ngamma2_values = 1\npoints = 333334\n",
+     "cuts.points: .* <= 1000000"),
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = 5\nmax = 1\npoints = 4\n", "strictly less"),
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = 0\nmax = 1\npoints = 1\n", ">= 2"),
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = 0\nmax = 1\npoints = 4\nscale = cubic\n",
@@ -112,7 +119,7 @@ scenario_strategy = st.builds(
                          min_size=0, max_size=4).map(tuple),
     sweep=st.one_of(
         st.none(),
-        st.builds(SweepSpec, axis=st.sampled_from(["f_hz", "tau_db", "gamma2"]),
+        st.builds(SweepSpec, axis=st.sampled_from(["f_hz", "tau_db"]),
                   lo=st.just(1.0), hi=st.just(2.0),
                   points=st.integers(min_value=2, max_value=64),
                   scale=st.sampled_from(["linear", "log"])),
