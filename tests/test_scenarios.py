@@ -57,7 +57,8 @@ def test_n261_preset_carrier():
     (lambda d: d + "theta_deg = 95\n", "|theta| < 90"),
     (lambda d: d + "dbar = -0.5\n", "positive"),
     (lambda d: d + "\n[sweep]\naxis = q\nmin = 0\nmax = 1\npoints = 4\n", "unknown axis"),
-    (lambda d: d + "\n[sweep]\naxis = r_m\nmin = 1\nmax = 2\npoints = 4\n", "unknown axis"),
+    (lambda d: d + "\n[sweep]\naxis = r_m\nmin = 1\nmax = 2\npoints = 4\n",
+     "unknown axis 'r_m'"),
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = 0\nmax = 1\npoints = 10001\n",
      "sweep.points: must be <= 10000"),
     (lambda d: d + "\n[grid]\ngamma1_points = 1001\ngamma2_points = 1000\n",
