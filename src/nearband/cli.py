@@ -284,6 +284,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"nearband: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ValueError as exc:  # from svg_line_chart: nothing finite to draw
+        print(f"nearband: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
     print(f"wrote {out}" + (f" and {out.with_suffix('.svg')}" if args.svg else ""))
     return EXIT_OK
 

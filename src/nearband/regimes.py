@@ -19,7 +19,7 @@ maps yields the design limits exposed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +68,9 @@ class Regime:
     theta_rad: float
 
     def __post_init__(self):
+        for field in fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ValueError(f"regime requires a finite {field.name}")
         if not (1.0 + self.fbar > 0.0):
             raise ValueError("regime requires 1 + fbar > 0")
         if not (self.rbar > 0.0):
@@ -161,12 +164,15 @@ _REFINE_POINTS = 33
 _REFINE_ROUNDS = 5
 
 
-def _first_crossing_products(tau: float, gamma2: np.ndarray) -> np.ndarray:
+def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False) -> np.ndarray:
     """First tau-crossing of the product gamma1*gamma2 per gamma2 column.
 
     Columns whose on-axis gain is already below tau (outside the main-lobe
     superlevel set) report 0.  Raises ``NoCrossingError`` when a column
-    keeps its gain at or above tau up to the march limit.
+    keeps its gain at or above tau up to the march limit.  With ``prune``,
+    a column whose upper bracket falls below the best lower bracket cannot
+    hold the maximum; it leaves the bisection and reports 0.  Bisection is
+    elementwise, so the maximum and its argmax keep their exact bits.
     """
     g2 = np.asarray(gamma2, dtype=float).ravel()
     hi = np.zeros_like(g2)
@@ -186,15 +192,18 @@ def _first_crossing_products(tau: float, gamma2: np.ndarray) -> np.ndarray:
         open_idx = open_idx[~hit]
         k0 += _PRODUCT_CHUNK
 
-    live = hi > 0.0
+    live = np.flatnonzero(hi > 0.0)
     g2, hi = g2[live], hi[live]
     lo = hi - _PRODUCT_STEP
     for _ in range(_BISECT_STEPS):
+        if prune:
+            keep = hi >= lo.max(initial=0.0)
+            live, g2, lo, hi = live[keep], g2[keep], lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
         below = gain_closed_form(mid / g2, g2) < tau
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-    products = np.zeros(live.shape)
+    products = np.zeros(np.size(gamma2))
     products[live] = 0.5 * (lo + hi)
     return products.reshape(np.shape(gamma2))
 
@@ -232,7 +241,7 @@ def product_max(tau_linear: float) -> float:
     g2 = np.geomspace(_GAMMA2_FLOOR, 1.0 / tau_linear, _GAMMA2_POINTS)
     best = 0.0
     for _ in range(_REFINE_ROUNDS + 1):
-        products = _first_crossing_products(tau_linear, g2)
+        products = _first_crossing_products(tau_linear, g2, prune=True)
         i = int(products.argmax())
         best = max(best, float(products[i]))
         g2 = np.linspace(g2[max(i - 1, 0)], g2[min(i + 1, g2.size - 1)], _REFINE_POINTS)

@@ -207,6 +207,19 @@ def test_svg_contours_caps_at_eight_series(tmp_path, scenario_file):
     assert legends == [f"tau_db={t:g}" for t in taus[:8]]
 
 
+def test_svg_without_finite_points_is_a_compute_error(tmp_path, scenario_file, capsys):
+    # every offset lies past B_max/2, so each band distance is inf and the
+    # chart has nothing to draw
+    doc = BAND_SWEEP.replace("min = -560e6", "min = 5e9").replace(
+        "max = 560e6", "max = 6e9").replace(
+        "tau_list_db = -0.2, -1, -2", "tau_list_db = -0.2")
+    cfg = scenario_file(doc)
+    out = tmp_path / "bandmap.csv"
+    assert main(["band-map", "--scenario", str(cfg), "--out", str(out),
+                 "--svg"]) == EXIT_COMPUTE
+    assert "nearband: no finite data to plot" in capsys.readouterr().err
+    assert not out.with_suffix(".svg").exists()
+
 def test_linear_flag(tmp_path, scenario_file):
     doc = MINIMAL.replace("tau_db = -1", "tau_db = 0.794328").replace(
         "tau_list_db = -0.2, -1, -2", "tau_list_db = 0.95")

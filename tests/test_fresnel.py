@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nearband.fresnel as fresnel_mod
 from nearband.fresnel import (
     SMALL_GAMMA2_CUTOFF,
     fresnel_c,
@@ -207,3 +208,45 @@ def test_vector_and_scalar_agree():
     for i, x in enumerate(xs):
         assert fresnel_c(float(x)) == c[i]
         assert fresnel_s(float(x)) == s[i]
+
+
+# Array calls are evaluated in blocks; each element must come out with the
+# same bits as a scalar call on it, whatever block it falls in.
+_BLOCK = fresnel_mod._BLOCK
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def scalar_pools():
+    rng = np.random.default_rng(7)
+    sign = lambda n: rng.choice([-1.0, 1.0], n)
+    x = np.concatenate([
+        rng.uniform(-1.6, 1.6, 60),
+        rng.uniform(1.6, 6.0, 60) * sign(60),
+        np.exp(rng.uniform(np.log(6.0), np.log(1e10), 60)) * sign(60),
+        [0.0, -0.0, 1.6, -1.6, 6.0, -6.0, 1e10, -1e10, 3e12, -5e15],
+    ])
+    g1 = rng.uniform(-20.0, 20.0, 200)
+    g2 = np.concatenate([
+        rng.uniform(0.0, 10.0, 150),
+        rng.uniform(0.0, SMALL_GAMMA2_CUTOFF / 2, 40),
+        np.zeros(10),
+    ])
+    cs = np.array([fresnel_cs(float(v)) for v in x])
+    gain = np.array([gain_closed_form(float(a), float(b)) for a, b in zip(g1, g2)])
+    return x, cs, g1, g2, gain
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_array_calls_match_scalar_calls_bitwise(size, scalar_pools):
+    x, cs, g1, g2, gain = scalar_pools
+    rng = np.random.default_rng(size)
+    i = rng.integers(0, x.size, size)
+    c, s = fresnel_cs(x[i])
+    np.testing.assert_array_equal(_bits(c), _bits(cs[i, 0]))
+    np.testing.assert_array_equal(_bits(s), _bits(cs[i, 1]))
+    j = rng.integers(0, g1.size, size)
+    np.testing.assert_array_equal(_bits(gain_closed_form(g1[j], g2[j])), _bits(gain[j]))

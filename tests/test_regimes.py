@@ -102,6 +102,14 @@ def test_regime_validation():
         Regime(0.0, 10.0, 0.5, 32.0, 2.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["fbar", "rbar", "dbar", "lbar", "theta_rad"])
+def test_regime_rejects_non_finite(field, bad):
+    values = dict(fbar=0.1, rbar=10.0, dbar=0.5, lbar=64.0, theta_rad=0.5)
+    values[field] = bad
+    with pytest.raises(ValueError, match=f"finite {field}"):
+        Regime(**values)
+
 def test_threshold_spec():
     spec = ThresholdSpec(0.5)
     assert spec.tau_db == pytest.approx(-3.0103, abs=1e-4)
@@ -120,6 +128,18 @@ def test_product_max_reference_constants():
     assert product_max(_db(-2.0)) == pytest.approx(0.5044, abs=0.005)
     assert product_max(_db(-1.0)) == pytest.approx(0.3654, abs=0.005)
 
+
+
+# Exact bits of the solver's results; a change that moves any of them
+# changes the numerics, not just the speed.
+@pytest.mark.parametrize("tau_db, bits", [
+    (-0.2, "0x1.5517768f35159p-3"),
+    (-1.0, "0x1.763cd4fa7a1a2p-2"),
+    (-2.0, "0x1.0245b720696b8p-1"),
+    (-3.0, "0x1.398ad0b3b6140p-1"),
+])
+def test_product_max_bits_pinned(tau_db, bits):
+    assert product_max(_db(tau_db)) == float.fromhex(bits)
 
 def test_product_max_against_sinc_oracle():
     # the boundary product approaches the far-field squint root as gamma2 -> 0;
