@@ -8,97 +8,14 @@ aperture-bandwidth product, maximum usable bandwidth, and the
 frequency-selective near-field boundary distance.
 """
 
-from .arrays import (
-    ArrayGeometry,
-    Beamformer,
-    ChannelVector,
-    FresnelRegionWarning,
-    ObserverPoint,
-    antenna_positions,
-    as_regime,
-    beamformer,
-    channel,
-    check_fresnel_region,
-    distance_to_rx,
-    gain_exact,
-    gain_fresnel_sum,
-)
-from .constants import SPEED_OF_LIGHT_M_S
-from .fresnel import (
-    GammaPair,
-    fresnel_c,
-    fresnel_cs,
-    fresnel_s,
-    gain_closed_form,
-    gain_narrowband,
-    to_db,
-)
-from .regimes import (
-    NoCrossingError,
-    Regime,
-    ThresholdSpec,
-    aperture_bandwidth_bound,
-    band_distance,
-    bmax,
-    effective_rayleigh_distance,
-    fbar_from_gamma,
-    fraunhofer_distance,
-    gamma_from_regime,
-    main_lobe_boundary,
-    product_max,
-    rbar_from_gamma,
-)
-from .scenarios import (
-    Scenario,
-    ScenarioError,
-    SweepTable,
-    emit_csv,
-    parse_scenario,
-    serialize_scenario,
-)
+from . import arrays, constants, fresnel, regimes, scenarios
+from .arrays import *  # noqa: F403
+from .constants import *  # noqa: F403
+from .fresnel import *  # noqa: F403
+from .regimes import *  # noqa: F403
+from .scenarios import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "SPEED_OF_LIGHT_M_S",
-    "ArrayGeometry",
-    "Beamformer",
-    "ChannelVector",
-    "FresnelRegionWarning",
-    "GammaPair",
-    "NoCrossingError",
-    "ObserverPoint",
-    "Regime",
-    "Scenario",
-    "ScenarioError",
-    "SweepTable",
-    "ThresholdSpec",
-    "antenna_positions",
-    "aperture_bandwidth_bound",
-    "as_regime",
-    "band_distance",
-    "beamformer",
-    "bmax",
-    "channel",
-    "check_fresnel_region",
-    "distance_to_rx",
-    "effective_rayleigh_distance",
-    "emit_csv",
-    "fbar_from_gamma",
-    "fraunhofer_distance",
-    "fresnel_c",
-    "fresnel_cs",
-    "fresnel_s",
-    "gain_closed_form",
-    "gain_exact",
-    "gain_fresnel_sum",
-    "gain_narrowband",
-    "gamma_from_regime",
-    "main_lobe_boundary",
-    "parse_scenario",
-    "product_max",
-    "rbar_from_gamma",
-    "serialize_scenario",
-    "to_db",
-]
+__all__ = ["__version__", *arrays.__all__, *constants.__all__, *fresnel.__all__,
+           *regimes.__all__, *scenarios.__all__]

@@ -23,14 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_M_S
-from .regimes import Regime, _fresnel_distance
+from .regimes import Regime, _check_finite, _fresnel_distance
 
 __all__ = [
     "VARIANTS",
     "ArrayGeometry",
     "ObserverPoint",
-    "ChannelVector",
-    "Beamformer",
     "FresnelRegionWarning",
     "antenna_positions",
     "distance_to_rx",
@@ -62,10 +60,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.n_antennas < 1 or self.n_antennas != int(self.n_antennas):
             raise ValueError("n_antennas must be a positive integer")
-        if self.spacing_m <= 0.0:
-            raise ValueError("spacing_m must be positive")
-        if self.carrier_hz <= 0.0:
-            raise ValueError("carrier_hz must be positive")
+        for name in ("spacing_m", "carrier_hz"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def aperture_m(self) -> float:
@@ -92,29 +89,10 @@ class ObserverPoint:
     angle_rad: float
 
     def __post_init__(self):
-        if self.range_m <= 0.0:
-            raise ValueError("range_m must be positive")
+        if not 0.0 < self.range_m < math.inf:
+            raise ValueError("range_m must be positive and finite")
         if not (abs(self.angle_rad) < math.pi / 2):
             raise ValueError("angle_rad must lie in (-pi/2, pi/2)")
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelVector:
-    """Unit-modulus frequency response at each element, phase-referenced
-    to the array center."""
-
-    entries: np.ndarray
-    variant: str
-    baseband_hz: float
-
-
-@dataclass(frozen=True, eq=False)
-class Beamformer:
-    """Unit-norm weights, conjugate-matched to the same-variant channel."""
-
-    weights: np.ndarray
-    variant: str
-    baseband_hz: float
 
 
 def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
@@ -148,30 +126,31 @@ def _path_minus_center(geom: ArrayGeometry, point: ObserverPoint, variant: str) 
 def _check_variant(variant: str, baseband_hz: float) -> float:
     if variant not in VARIANTS:
         raise ValueError(f"unknown channel variant {variant!r}; expected one of {VARIANTS}")
+    _check_finite(baseband_hz=baseband_hz)
     if variant in _NARROWBAND and baseband_hz != 0.0:
         raise ValueError(f"narrowband variant {variant!r} requires baseband_hz = 0")
     return 0.0 if variant in _NARROWBAND else baseband_hz
 
 
 def channel(geom: ArrayGeometry, point: ObserverPoint, variant: str,
-            baseband_hz: float = 0.0) -> ChannelVector:
+            baseband_hz: float = 0.0) -> np.ndarray:
     """Frequency-domain channel for one of the four model variants.
 
-    Entry n carries the phase -2*pi*rho_n*(fc + f)/c with rho_n = r_n for
-    near-field variants and rho_n = r - d_n sin(theta) for far-field ones;
-    narrowband variants force f = 0.  The common center phase is removed.
+    Unit-modulus entries: entry n carries the phase -2*pi*rho_n*(fc + f)/c
+    with rho_n = r_n for near-field variants and rho_n = r - d_n sin(theta)
+    for far-field ones; narrowband variants force f = 0.  The common center
+    phase is removed.
     """
     f = _check_variant(variant, baseband_hz)
     delta = _path_minus_center(geom, point, variant)
     phase = -2.0 * np.pi * delta * (geom.carrier_hz + f) / SPEED_OF_LIGHT_M_S
-    return ChannelVector(np.exp(1j * phase), variant, f)
+    return np.exp(1j * phase)
 
 
 def beamformer(geom: ArrayGeometry, point: ObserverPoint, variant: str,
-               baseband_hz: float = 0.0) -> Beamformer:
-    """Unit-norm beamformer matched to the corresponding channel variant."""
-    ch = channel(geom, point, variant, baseband_hz)
-    return Beamformer(ch.entries / math.sqrt(geom.n_antennas), variant, ch.baseband_hz)
+               baseband_hz: float = 0.0) -> np.ndarray:
+    """Unit-norm weights, conjugate-matched to the same-variant channel."""
+    return channel(geom, point, variant, baseband_hz) / math.sqrt(geom.n_antennas)
 
 
 def gain_exact(geom: ArrayGeometry, point: ObserverPoint, channel_variant: str,
@@ -181,9 +160,8 @@ def gain_exact(geom: ArrayGeometry, point: ObserverPoint, channel_variant: str,
     Evaluates |h* f_ffnb| / sqrt(N) for the selected channel variant; the
     matched case (``ff_nb`` channel) gives exactly 1.
     """
-    ch = channel(geom, point, channel_variant, baseband_hz)
-    bf = beamformer(geom, point, "ff_nb")
-    inner = np.vdot(ch.entries, bf.weights)
+    inner = np.vdot(channel(geom, point, channel_variant, baseband_hz),
+                    beamformer(geom, point, "ff_nb"))
     return float(abs(inner) / math.sqrt(geom.n_antennas))
 
 

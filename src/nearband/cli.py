@@ -46,10 +46,6 @@ _CONTOUR_GAMMA2_POINTS = 512
 _BMAX_PRESETS = ((128, 28e9), (64, 28e9), (128, 39e9), (64, 39e9))
 
 
-class ComputationError(RuntimeError):
-    """A sweep hit a state it cannot produce output for."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage problems by default; the contract here is 1
     def error(self, message):
@@ -138,8 +134,6 @@ def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
     g2_grid = np.geomspace(1e-3, 6.0, _CONTOUR_GAMMA2_POINTS)
     for tau_db in scenario.taus_db:
-        if tau_db >= 0:
-            raise ComputationError(f"no contour exists for tau = {tau_db} dB >= 0 dB")
         tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
         pm = product_max(tau_lin)
         g1 = main_lobe_boundary(tau_lin, g2_grid)
@@ -173,7 +167,7 @@ def run_bmax_curve(scenario: Scenario) -> tuple[SweepTable, tuple]:
     series = [(f"L={aperture:g}", taus_db, [bs[k] for bs in bw])
               for k, (aperture, _) in enumerate(presets)]
     return (SweepTable(("tau_db", "aperture_m", "carrier_hz", "bmax_hz"), rows, meta),
-            (series, "max usable bandwidth", "tau (dB)", "B_max (Hz)", False, True))
+            (series, "max usable bandwidth", "tau (dB)", "B_max (Hz)", True))
 
 
 def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
@@ -200,8 +194,7 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
     series = [(f"tau_db={tau_db:g}", freqs, [ds[k] for ds in dist])
               for k, (tau_db, _) in _stride(list(enumerate(taus)), 8)]
     return (SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), rows, meta),
-            (series, "near-field boundary vs offset", "f (Hz)", "distance (m)",
-             False, True))
+            (series, "near-field boundary vs offset", "f (Hz)", "distance (m)", True))
 
 
 _COMMANDS = {
@@ -272,7 +265,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"nearband: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ComputationError, NoCrossingError, ValueError) as exc:
+    except (NoCrossingError, ValueError) as exc:
         print(f"nearband: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

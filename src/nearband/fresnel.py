@@ -37,8 +37,6 @@ import numpy as np
 
 __all__ = [
     "GammaPair",
-    "fresnel_c",
-    "fresnel_s",
     "fresnel_cs",
     "gain_closed_form",
     "gain_narrowband",
@@ -86,8 +84,6 @@ def _series_coeffs(n_terms: int) -> tuple[np.ndarray, np.ndarray]:
         s[k] = b / (4 * k + 3)
     return c, s
 
-
-_SER_C, _SER_S = _series_coeffs(20)
 
 # Chebyshev tables for pi*x*f(x) and pi*x*g(x) on s = 1/x^2 over
 # [1/36, 1/2.56]; generated by scripts/gen_fresnel_coeffs.py (fit residual
@@ -185,6 +181,11 @@ def _stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+_SERIES = _stacked(*_series_coeffs(20))
+_CHEB = _stacked(_CHEB_F, _CHEB_G)
+_ASYM = _stacked(_ASYM_F, _ASYM_G)
+
+
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     acc = coeffs[:, -1:]
     for c in coeffs.T[-2::-1, :, None]:
@@ -215,14 +216,13 @@ def _quarter_phase(x: np.ndarray) -> np.ndarray:
     return _mod4(_mod4(hi * hi) + _mod4(2.0 * hi * lo) + _mod4(lo * lo))
 
 
-def _fresnel_cs_block(x: np.ndarray, c_out: np.ndarray, s_out: np.ndarray,
-                      series: np.ndarray, cheb: np.ndarray, asym: np.ndarray) -> None:
-    """Write C(x), S(x) into c_out, s_out, given the stacked coefficient tables."""
+def _fresnel_cs_block(x: np.ndarray, c_out: np.ndarray, s_out: np.ndarray) -> None:
+    """Write C(x), S(x) into c_out, s_out."""
     ax = np.abs(x)
     small = ax <= _SERIES_MAX
     if small.any():
         x1 = ax[small]
-        ser = _horner(series, x1 ** 4)
+        ser = _horner(_SERIES, x1 ** 4)
         c_out[small] = x1 * ser[0]
         s_out[small] = x1 ** 3 * ser[1]
 
@@ -236,11 +236,11 @@ def _fresnel_cs_block(x: np.ndarray, c_out: np.ndarray, s_out: np.ndarray,
         if via_cheb:
             s_var = 1.0 / (x1 * x1)
             t = (2.0 * s_var - (_CHEB_S_LO + _CHEB_S_HI)) / (_CHEB_S_HI - _CHEB_S_LO)
-            f, g = _clenshaw(cheb, t) / pix
+            f, g = _clenshaw(_CHEB, t) / pix
             u = 0.5 * np.pi * x1 * x1
         else:
             pix2 = pix * x1
-            fg = _horner(asym, 1.0 / (pix2 * pix2))
+            fg = _horner(_ASYM, 1.0 / (pix2 * pix2))
             f = fg[0] / pix
             g = fg[1] / (pix * pix2)
             u = 0.5 * np.pi * _quarter_phase(x1)
@@ -269,24 +269,12 @@ def fresnel_cs(x):
     flat = arr.ravel()
     c = np.empty_like(flat)
     s = np.empty_like(flat)
-    tables = (_stacked(_SER_C, _SER_S), _stacked(_CHEB_F, _CHEB_G),
-              _stacked(_ASYM_F, _ASYM_G))
     for i in range(0, flat.size, _BLOCK):
         block = slice(i, i + _BLOCK)
-        _fresnel_cs_block(flat[block], c[block], s[block], *tables)
+        _fresnel_cs_block(flat[block], c[block], s[block])
     if arr.ndim == 0:
         return float(c[0]), float(s[0])
     return c.reshape(arr.shape), s.reshape(arr.shape)
-
-
-def fresnel_c(x):
-    """Cosine Fresnel integral C(x) = int_0^x cos(pi t^2/2) dt; odd in x."""
-    return fresnel_cs(x)[0]
-
-
-def fresnel_s(x):
-    """Sine Fresnel integral S(x) = int_0^x sin(pi t^2/2) dt; odd in x."""
-    return fresnel_cs(x)[1]
 
 
 def gain_closed_form(gamma1, gamma2):

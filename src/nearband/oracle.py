@@ -64,6 +64,8 @@ _GAUSS_W = np.array([
     0.129484966168869693270611432679082,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# K15-G7 error estimate a panel may keep (scaled by its length above 1).
+_TOL = 1e-12
 
 
 def _panel_integrals(lo: np.ndarray, hi: np.ndarray):
@@ -77,7 +79,7 @@ def _panel_integrals(lo: np.ndarray, hi: np.ndarray):
     return k15, np.abs(k15 - g7)
 
 
-def _integrate_panels(points: np.ndarray, tol: float) -> np.ndarray:
+def _integrate_panels(points: np.ndarray) -> np.ndarray:
     """Integral of exp(i pi t^2/2) over each [points[k], points[k+1]]."""
     lo = points[:-1].copy()
     hi = points[1:].copy()
@@ -89,7 +91,7 @@ def _integrate_panels(points: np.ndarray, tol: float) -> np.ndarray:
         if lo.size == 0:
             break
         val, err = _panel_integrals(lo, hi)
-        ok = err <= tol * np.maximum(1.0, hi - lo)
+        ok = err <= _TOL * np.maximum(1.0, hi - lo)
         np.add.at(total, owner[ok], val[ok])
         bad = ~ok
         if not bad.any():
@@ -103,7 +105,7 @@ def _integrate_panels(points: np.ndarray, tol: float) -> np.ndarray:
     return total
 
 
-def quadrature_cs(x, tol: float = 1e-12):
+def quadrature_cs(x):
     """Fresnel C and S by direct adaptive quadrature of the integrands.
 
     ``x`` may be a scalar or array.  All magnitudes are folded to one
@@ -130,7 +132,7 @@ def quadrature_cs(x, tol: float = 1e-12):
         seeds.append(np.array(extra))
     points = np.unique(np.concatenate(seeds))
 
-    segment = _integrate_panels(points, tol)
+    segment = _integrate_panels(points)
     prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(segment)])
     value_at = dict(zip(points.tolist(), prefix.tolist()))
 

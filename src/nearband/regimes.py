@@ -91,10 +91,6 @@ class ThresholdSpec:
         if not (0.0 < self.tau_linear <= 1.0):
             raise ValueError("tau_linear must lie in (0, 1]")
 
-    @property
-    def tau_db(self) -> float:
-        return 10.0 * math.log10(self.tau_linear)
-
     @classmethod
     def from_db(cls, tau_db: float) -> "ThresholdSpec":
         return cls(10.0 ** (tau_db / 10.0))
@@ -142,6 +138,13 @@ def rbar_from_gamma(fbar: float, gamma2: float, lbar: float, theta_rad: float) -
         return math.inf
     cos_t = math.cos(theta_rad)
     return lbar * lbar * cos_t * cos_t * (1.0 + fbar) / (2.0 * gamma2 * gamma2)
+
+
+def _check_finite(**args: float) -> None:
+    """Raise ``ValueError`` naming the first non-finite keyword argument."""
+    for name, value in args.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,7 @@ def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float
     Broadside worst-case angle makes the bound vacuous and returns the
     ``inf`` sentinel.
     """
+    _check_finite(tau_linear=tau_linear, theta_worst_rad=theta_worst_rad)
     sin_t = math.sin(theta_worst_rad)
     if sin_t == 0.0:
         return math.inf
@@ -262,8 +266,8 @@ def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float
 
 def bmax(aperture_m: float, tau_linear: float, theta_worst_rad: float) -> float:
     """Maximum usable bandwidth (Hz) for a fixed aperture at a gain threshold."""
-    if aperture_m <= 0.0:
-        raise ValueError("aperture must be positive")
+    if not 0.0 < aperture_m < math.inf:
+        raise ValueError("aperture_m must be positive and finite")
     return aperture_bandwidth_bound(tau_linear, theta_worst_rad) / aperture_m
 
 
@@ -292,6 +296,8 @@ def band_distance(
     tau).  If the gain already holds above tau over the whole scanned
     range, the scan floor is returned.
     """
+    _check_finite(f_hz=f_hz, fc_hz=fc_hz, tau_linear=tau_linear,
+                  aperture_m=aperture_m, theta_rad=theta_rad)
     if fc_hz <= 0.0 or aperture_m <= 0.0:
         raise ValueError("carrier and aperture must be positive")
     if not (abs(theta_rad) < math.pi / 2):

@@ -12,6 +12,7 @@ __all__ = ["svg_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 480
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 160, 40, 50
+_TICKS = 5
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
 
@@ -22,11 +23,11 @@ def _transform(value: float, lo: float, hi: float, log: bool) -> float:
     return (value - lo) / (hi - lo)
 
 
-def _ticks(lo: float, hi: float, log: bool, count: int = 5):
+def _ticks(lo: float, hi: float, log: bool):
     if log:
         lo_e, hi_e = math.log10(lo), math.log10(hi)
-        return [10.0 ** (lo_e + (hi_e - lo_e) * i / (count - 1)) for i in range(count)]
-    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+        return [10.0 ** (lo_e + (hi_e - lo_e) * i / (_TICKS - 1)) for i in range(_TICKS)]
+    return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
 def _fmt(value: float) -> str:
@@ -38,18 +39,16 @@ def _fmt(value: float) -> str:
 
 
 def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
-                   logx: bool = False, logy: bool = False) -> str:
+                   logy: bool = False) -> str:
     """Render labelled (xs, ys) series to an SVG document string.
 
     ``series`` is a sequence of (label, xs, ys) triples.  Axis ranges are
-    taken from the finite data; log axes drop nonpositive samples.
+    taken from the finite data; a log y axis drops nonpositive samples.
     """
-    pts = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y) \
-                    and (not logx or x > 0) and (not logy or y > 0):
-                pts.append((x, y))
+    def plottable(x: float, y: float) -> bool:
+        return math.isfinite(x) and math.isfinite(y) and (not logy or y > 0)
+
+    pts = [(x, y) for _, xs, ys in series for x, y in zip(xs, ys) if plottable(x, y)]
     if not pts:
         raise ValueError("no finite data to plot")
     x_lo = min(p[0] for p in pts)
@@ -65,7 +64,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x: float) -> float:
-        return _MARGIN_L + plot_w * _transform(x, x_lo, x_hi, logx)
+        return _MARGIN_L + plot_w * _transform(x, x_lo, x_hi, False)
 
     def py(y: float) -> float:
         return _MARGIN_T + plot_h * (1.0 - _transform(y, y_lo, y_hi, logy))
@@ -83,7 +82,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>',
     ]
-    for t in _ticks(x_lo, x_hi, logx):
+    for t in _ticks(x_lo, x_hi, False):
         x = px(t)
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T + plot_h}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
@@ -101,9 +100,7 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         run = []
         chunks = []
         for x, y in zip(xs, ys):
-            ok = math.isfinite(x) and math.isfinite(y) \
-                and (not logx or x > 0) and (not logy or y > 0)
-            if ok:
+            if plottable(x, y):
                 run.append(f"{px(x):.2f},{py(y):.2f}")
             elif run:
                 chunks.append(run)

@@ -297,9 +297,9 @@ def test_verify_subcommand(capsys):
 def test_verify_detects_tampering(monkeypatch, capsys):
     import nearband.fresnel as fresnel_mod
     from nearband.cli import EXIT_VERIFY
-    tampered = fresnel_mod._CHEB_F.copy()
-    tampered[0] += 1e-6
-    monkeypatch.setattr(fresnel_mod, "_CHEB_F", tampered)
+    tampered = fresnel_mod._CHEB.copy()
+    tampered[0, 0] += 1e-6
+    monkeypatch.setattr(fresnel_mod, "_CHEB", tampered)
     assert main(["verify"]) == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out
 

@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 import nearband.fresnel as fresnel_mod
 from nearband.fresnel import (
     SMALL_GAMMA2_CUTOFF,
-    fresnel_c,
     fresnel_cs,
-    fresnel_s,
     gain_closed_form,
     gain_narrowband,
     to_db,
@@ -29,8 +27,8 @@ GNB_HALF = 0.9931628760942047
 
 
 def test_zero_is_zero():
-    assert fresnel_c(0.0) == 0.0
-    assert fresnel_s(0.0) == 0.0
+    assert fresnel_cs(0.0)[0] == 0.0
+    assert fresnel_cs(0.0)[1] == 0.0
 
 
 def test_frozen_values_match_oracle():
@@ -44,22 +42,22 @@ def test_frozen_values_match_oracle():
 
 @pytest.mark.parametrize("x, expected", [(0.5, C_HALF), (10.0, C_TEN)])
 def test_c_golden(x, expected):
-    assert fresnel_c(x) == pytest.approx(expected, abs=1e-12)
+    assert fresnel_cs(x)[0] == pytest.approx(expected, abs=1e-12)
 
 
 @pytest.mark.parametrize("x, expected", [(0.5, S_HALF), (10.0, S_TEN)])
 def test_s_golden(x, expected):
-    assert fresnel_s(x) == pytest.approx(expected, abs=1e-12)
+    assert fresnel_cs(x)[1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_s10_against_asymptotic_form():
     # S(x) ~ 1/2 - cos(pi x^2/2)/(pi x); next correction is ~3e-5/(pi x)
     approx = 0.5 - math.cos(math.pi * 100.0 / 2.0) / (math.pi * 10.0)
-    assert abs(fresnel_s(10.0) - approx) < 1e-5
+    assert abs(fresnel_cs(10.0)[1] - approx) < 1e-5
 
 
 def test_oddness_is_exact():
-    assert fresnel_c(-1.3) == -fresnel_c(1.3)
+    assert fresnel_cs(-1.3)[0] == -fresnel_cs(1.3)[0]
     xs = np.linspace(0.01, 30.0, 757)
     cp, sp = fresnel_cs(xs)
     cn, sn = fresnel_cs(-xs)
@@ -69,8 +67,8 @@ def test_oddness_is_exact():
 
 @given(st.floats(min_value=-30.0, max_value=30.0, allow_nan=False))
 def test_oddness_property(x):
-    assert fresnel_c(-x) == -fresnel_c(x)
-    assert fresnel_s(-x) == -fresnel_s(x)
+    assert fresnel_cs(-x)[0] == -fresnel_cs(x)[0]
+    assert fresnel_cs(-x)[1] == -fresnel_cs(x)[1]
 
 
 def test_oracle_agreement_sampled():
@@ -107,9 +105,9 @@ def test_asymptote_envelope():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_nonfinite_rejected(bad):
     with pytest.raises(ValueError):
-        fresnel_c(bad)
+        fresnel_cs(bad)[0]
     with pytest.raises(ValueError):
-        fresnel_s(bad)
+        fresnel_cs(bad)[1]
     with pytest.raises(ValueError):
         gain_closed_form(bad, 1.0)
     with pytest.raises(ValueError):
@@ -206,8 +204,8 @@ def test_vector_and_scalar_agree():
     xs = np.array([0.3, 1.7, 8.0])
     c, s = fresnel_cs(xs)
     for i, x in enumerate(xs):
-        assert fresnel_c(float(x)) == c[i]
-        assert fresnel_s(float(x)) == s[i]
+        assert fresnel_cs(float(x))[0] == c[i]
+        assert fresnel_cs(float(x))[1] == s[i]
 
 
 # Array calls are evaluated in blocks; each element must come out with the

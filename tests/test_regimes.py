@@ -110,9 +110,31 @@ def test_regime_rejects_non_finite(field, bad):
     with pytest.raises(ValueError, match=f"finite {field}"):
         Regime(**values)
 
+
+@pytest.mark.parametrize("fn, args, name", [
+    pytest.param(bmax, (math.inf, 0.8, 1.0), "aperture_m", id="bmax-aperture_m"),
+    pytest.param(bmax, (math.nan, 0.8, 1.0), "aperture_m", id="bmax-aperture_m-nan"),
+    pytest.param(bmax, (0.3, 0.8, math.nan), "theta_worst_rad", id="bmax-theta_worst_rad"),
+    pytest.param(aperture_bandwidth_bound, (0.8, math.inf), "theta_worst_rad",
+                 id="bound-theta_worst_rad"),
+    pytest.param(aperture_bandwidth_bound, (math.nan, 0.0), "tau_linear",
+                 id="bound-tau_linear"),
+    pytest.param(band_distance, (math.nan, 39e9, 0.8, 0.3, 0.5), "f_hz", id="band-f_hz"),
+    pytest.param(band_distance, (1e8, math.inf, 0.8, 0.3, 0.5), "fc_hz", id="band-fc_hz"),
+    pytest.param(band_distance, (1e8, 39e9, math.nan, 0.3, 0.5), "tau_linear",
+                 id="band-tau_linear"),
+    pytest.param(band_distance, (1e8, 39e9, 0.8, math.inf, 0.5), "aperture_m",
+                 id="band-aperture_m"),
+    pytest.param(band_distance, (1e8, 39e9, 0.8, 0.3, -math.inf), "theta_rad",
+                 id="band-theta_rad"),
+])
+def test_threshold_inversions_reject_non_finite(fn, args, name):
+    with pytest.raises(ValueError, match=name):
+        fn(*args)
+
+
 def test_threshold_spec():
-    spec = ThresholdSpec(0.5)
-    assert spec.tau_db == pytest.approx(-3.0103, abs=1e-4)
+    assert ThresholdSpec(0.5).tau_linear == 0.5
     assert ThresholdSpec.from_db(-1.0).tau_linear == pytest.approx(_db(-1.0), rel=1e-14)
     with pytest.raises(ValueError):
         ThresholdSpec(0.0)
