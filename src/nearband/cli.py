@@ -185,7 +185,9 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
     d_fa = fraunhofer_distance(lbar, lam)
     meta = _base_metadata(scenario, "band-map")
     meta.append(("band_m.sentinel",
-                 "inf = diverged: offset beyond the usable bandwidth"))
+                 "inf = diverged: offset past the far-field edge "
+                 "far_field_product(tau)*fc/(lbar*|sin(theta)|), "
+                 "which equals B_max/2 only above about -2.81 dB"))
     taus = [(tau_db, ThresholdSpec.from_db(tau_db).tau_linear) for tau_db in scenario.taus_db]
     dist = [[band_distance(f, fc, tau_lin, aperture, scenario.theta_rad)
              for _, tau_lin in taus] for f in freqs]

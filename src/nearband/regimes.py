@@ -7,11 +7,13 @@ maps yields the design limits exposed here:
 
 * :func:`product_max` -- largest |gamma1*gamma2| on the main-lobe
   superlevel set of the gain surface,
+* :func:`far_field_product` -- its gamma2 -> 0 limit, the first root of
+  |sinc(p)| = tau, which it equals above about -2.81 dB,
 * :func:`aperture_bandwidth_bound` / :func:`bmax` -- the implied cap on
   bandwidth times aperture and the maximum usable bandwidth,
 * :func:`band_distance` -- smallest range beyond which the gain stays
   above the threshold at a given frequency offset (diverges to the
-  ``inf`` sentinel past the usable bandwidth),
+  ``inf`` sentinel past the far-field edge),
 * :func:`effective_rayleigh_distance` / :func:`fraunhofer_distance` --
   the classical narrowband boundaries recovered as special cases.
 """
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_M_S
-from .fresnel import GammaPair, gain_closed_form, gain_narrowband
+from .fresnel import GammaPair, _gain_pq, gain_narrowband
 
 __all__ = [
     "Regime",
@@ -35,6 +37,7 @@ __all__ = [
     "fbar_from_gamma",
     "rbar_from_gamma",
     "product_max",
+    "far_field_product",
     "main_lobe_boundary",
     "aperture_bandwidth_bound",
     "bmax",
@@ -147,6 +150,11 @@ def _check_finite(**args: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_threshold(tau_linear: float, caller: str) -> None:
+    if not (0.0 < tau_linear < 1.0):
+        raise ValueError(f"{caller} requires a linear gain threshold in (0, 1)")
+
+
 # ---------------------------------------------------------------------------
 # threshold inversion on the gain surface
 # ---------------------------------------------------------------------------
@@ -189,7 +197,7 @@ def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False
             )
         p = _PRODUCT_STEP * (k0 + steps)
         col = g2[open_idx, None]
-        below = gain_closed_form(p / col, col) < tau
+        below = _gain_pq(p, col) < tau
         hit = below.any(axis=1)
         hi[open_idx[hit]] = p[below[hit].argmax(axis=1)]
         open_idx = open_idx[~hit]
@@ -203,7 +211,7 @@ def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False
             keep = hi >= lo.max(initial=0.0)
             live, g2, lo, hi = live[keep], g2[keep], lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
-        below = gain_closed_form(mid / g2, g2) < tau
+        below = _gain_pq(mid, g2) < tau
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
     products = np.zeros(np.size(gamma2))
@@ -217,8 +225,7 @@ def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
     Traces the boundary of the main-lobe superlevel set; columns whose
     on-axis gain is already below tau return NaN (outside the region).
     """
-    if not (0.0 < tau_linear < 1.0):
-        raise ValueError("main_lobe_boundary requires a linear gain threshold in (0, 1)")
+    _check_threshold(tau_linear, "main_lobe_boundary")
     g2 = np.asarray(gamma2, dtype=float)
     products = _first_crossing_products(tau_linear, g2)
     out = np.full_like(g2, np.nan)
@@ -227,37 +234,86 @@ def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
     return out
 
 
+# x - sin(x) = x^3 * sum_k (-x^2)^k / (2k+3)!, summed to below one ulp for
+# x <= pi; the direct difference cancels for small x
+_X_MINUS_SIN = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(14))
+
+
+def _x_minus_sin(x: float) -> float:
+    z = x * x
+    acc = 0.0
+    for c in reversed(_X_MINUS_SIN):
+        acc = acc * z + c
+    return acc * z * x
+
+
+def far_field_product(tau_linear: float) -> float:
+    """First root p of sin(pi p)/(pi p) = tau on (0, 1), to a few ulp.
+
+    The far-field (gamma2 -> 0) limit of the main-lobe boundary product:
+    an offset whose |gamma1*gamma2| exceeds it has gain below tau at every
+    large distance.  Solved as x - sin(x) = (1 - tau) x with x = pi p,
+    which keeps full relative precision when tau is close to 1.
+    Raises ``ValueError`` when tau is not a linear gain in (0, 1).
+    """
+    _check_threshold(tau_linear, "far_field_product")
+    loss = 1.0 - tau_linear
+
+    def residual(q: float) -> float:
+        x = math.pi * q
+        return _x_minus_sin(x) - loss * x
+
+    lo, hi = 0.0, 1.0
+    mid = 0.5
+    while lo < mid < hi:
+        if residual(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return min((lo, hi), key=lambda q: abs(residual(q)))
+
+
 @lru_cache(maxsize=64)
 def product_max(tau_linear: float) -> float:
     """Supremum of |gamma1*gamma2| over the main-lobe region with gain >= tau.
 
-    Finds the first tau-crossing product on a log grid of gamma2 over
-    [1e-3, 1/tau], then re-solves on linear brackets around the maximizer,
-    each round spanning the two neighbouring grid cells.  No column beyond
-    1/tau can hold gain >= tau, since max|C + jS| < 1 bounds the on-axis
-    gain by 1/gamma2.  The 1e-3 floor stands in for gamma2 -> 0.
-    Raises ``ValueError`` when tau is not a linear gain in (0, 1) and
-    ``NoCrossingError`` when a crossing lies beyond the march limit.
+    The supremum is at least :func:`far_field_product`, the gamma2 -> 0
+    limit of the boundary.  It certifies that limit first on a log grid of
+    gamma2 over [1e-3, 1/tau]: a column whose gain at p_ff is below tau
+    crosses tau at or before p_ff.  When every live column does, the result
+    is p_ff itself (above about -2.81 dB).  Otherwise it finds the first
+    tau-crossing product per column, re-solves on linear brackets around
+    the maximizer, each round spanning the two neighbouring grid cells,
+    and returns the larger of that and p_ff.  No column beyond 1/tau can
+    hold gain >= tau, since max|C + jS| < 1 bounds the on-axis gain by
+    1/gamma2.  Raises ``ValueError`` when tau is not a linear gain in
+    (0, 1) and ``NoCrossingError`` when a crossing lies beyond the march
+    limit.
     """
-    if not (0.0 < tau_linear < 1.0):
-        raise ValueError("product_max requires a linear gain threshold in (0, 1)")
+    _check_threshold(tau_linear, "product_max")
+    p_ff = far_field_product(tau_linear)
     g2 = np.geomspace(_GAMMA2_FLOOR, 1.0 / tau_linear, _GAMMA2_POINTS)
+    live = g2[gain_narrowband(g2) >= tau_linear]
+    if not (_gain_pq(p_ff, live) >= tau_linear).any():
+        return p_ff
     best = 0.0
     for _ in range(_REFINE_ROUNDS + 1):
         products = _first_crossing_products(tau_linear, g2, prune=True)
         i = int(products.argmax())
         best = max(best, float(products[i]))
         g2 = np.linspace(g2[max(i - 1, 0)], g2[min(i + 1, g2.size - 1)], _REFINE_POINTS)
-    return best
+    return max(best, p_ff)
 
 
 def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float:
     """Cap on bandwidth*aperture (Hz*m): |2 c [g1 g2]_max(tau) / sin(theta_worst)|.
 
     Broadside worst-case angle makes the bound vacuous and returns the
-    ``inf`` sentinel.
+    ``inf`` sentinel, once tau is known to be a linear gain in (0, 1).
     """
     _check_finite(tau_linear=tau_linear, theta_worst_rad=theta_worst_rad)
+    _check_threshold(tau_linear, "aperture_bandwidth_bound")
     sin_t = math.sin(theta_worst_rad)
     if sin_t == 0.0:
         return math.inf
@@ -291,10 +347,13 @@ def band_distance(
     Scans log-spaced distances from the Fresnel-region floor up to 1e6x
     the Fraunhofer distance, locates the largest down-crossing of tau and
     refines it by bisection to a relative tolerance of 1e-6.  Returns the
-    ``inf`` sentinel when no finite distance qualifies (the offset exceeds
-    the usable bandwidth, where the large-distance gain limit falls below
-    tau).  If the gain already holds above tau over the whole scanned
-    range, the scan floor is returned.
+    ``inf`` sentinel when no finite distance qualifies: past the far-field
+    edge |f| > far_field_product(tau) * fc / (lbar |sin theta|), where the
+    large-distance gain limit falls below tau.  That edge is B_max/2 only
+    where product_max equals the far-field root (above about -2.81 dB).
+    If the gain already holds above tau over the whole scanned range, the
+    scan floor is returned.  Along the ray p = gamma1*gamma2 =
+    -fbar lbar sin(theta) is fixed, so the gain is evaluated at that p.
     """
     _check_finite(f_hz=f_hz, fc_hz=fc_hz, tau_linear=tau_linear,
                   aperture_m=aperture_m, theta_rad=theta_rad)
@@ -305,16 +364,17 @@ def band_distance(
     fbar = f_hz / fc_hz
     if 1.0 + fbar <= 0.0:
         raise ValueError("band_distance requires 1 + f/fc > 0")
-    if not (0.0 < tau_linear < 1.0):
-        raise ValueError("band_distance requires a linear gain threshold in (0, 1)")
+    _check_threshold(tau_linear, "band_distance")
 
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
     r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
     r_hi = 1e6 * fraunhofer_distance(lbar, lam)
 
+    p = abs(fbar * lbar * math.sin(theta_rad))
+
     def gain(rbar):
-        return gain_closed_form(*_gamma_map(fbar, rbar, lbar, theta_rad))
+        return _gain_pq(p, _gamma_map(fbar, rbar, lbar, theta_rad)[1])
 
     if gain(r_hi / lam) < tau_linear:
         return math.inf

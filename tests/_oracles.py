@@ -7,6 +7,7 @@ package's phase-stabilized production path.
 
 import math
 
+import mpmath
 import numpy as np
 
 C_M_S = 299_792_458.0
@@ -47,7 +48,9 @@ def sinc_threshold_root(tau_linear, lo=1e-9, hi=1.0):
     """First p > 0 where sin(pi p)/(pi p) = tau; far-field squint inversion.
 
     Serves as an independent oracle for product_max: the boundary product
-    approaches this root as gamma2 -> 0.
+    approaches this root as gamma2 -> 0.  A float bisection brackets the
+    root, and a 40-digit mpmath solve refines it, so the result is the
+    correctly rounded root of the given float tau.
     """
     def f(p):
         return math.sin(math.pi * p) / (math.pi * p) - tau_linear
@@ -59,7 +62,12 @@ def sinc_threshold_root(tau_linear, lo=1e-9, hi=1.0):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    with mpmath.workdps(40):
+        tau = mpmath.mpf(tau_linear)
+        root = mpmath.findroot(
+            lambda p: mpmath.sin(mpmath.pi * p) / (mpmath.pi * p) - tau,
+            mpmath.mpf(0.5 * (lo + hi)))
+        return float(root)
 
 
 def random_fresnel_configs(rng, count, n_choices=(128, 192, 256, 384, 512)):

@@ -144,6 +144,32 @@ def test_band_map_output(tmp_path, scenario_file):
         assert finite[0.0] == min(finite.values())
 
 
+def test_band_map_inf_marks_far_field_edge(tmp_path, scenario_file):
+    # at -3 dB product_max exceeds the far-field root by 1.6 %, so offsets
+    # between the far-field edge and B_max/2 already diverge
+    from nearband import far_field_product, product_max
+    from nearband.scenarios import PRESET_CARRIER_HZ
+
+    fc, lbar, theta = PRESET_CARRIER_HZ["n260"], 64 * 0.5, math.radians(60)
+    tau = 10.0 ** (-3.0 / 10.0)
+    edge = far_field_product(tau) * fc / (lbar * math.sin(theta))
+    half_band = product_max(tau) * fc / (lbar * math.sin(theta))
+    assert half_band > 1.01 * edge
+    doc = MINIMAL.replace("tau_list_db = -0.2, -1, -2", "tau_list_db = -3") + f"""
+[sweep]
+axis = f_hz
+min = {0.999 * edge!r}
+max = {0.999 * half_band!r}
+points = 3
+"""
+    out = tmp_path / "edge.csv"
+    assert main(["band-map", "--scenario", str(scenario_file(doc)), "--out", str(out)]) == EXIT_OK
+    meta, _, rows = _read_table(out)
+    sentinel = next(m for m in meta if "band_m.sentinel" in m)
+    assert "far-field edge far_field_product(tau)*fc/(lbar*|sin(theta)|)" in sentinel
+    assert [r[2] == "inf" for r in rows] == [False, True, True]
+
+
 def test_band_map_matches_rayleigh_at_exact_linear_level(tmp_path, scenario_file):
     # the classical boundary is tied to the 0.95 *linear* level (-0.223 dB);
     # feed it via --linear so no dB rounding creeps in

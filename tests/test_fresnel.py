@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -162,6 +163,26 @@ def test_gain_continuity_at_cutoff():
     high = gain_closed_form(g1, just_above)
     assert np.array_equal(low, np.abs(np.sinc(g1 * just_below)))
     assert np.abs(high - low).max() <= 1e-9
+
+
+def _gain_mp(gamma1, gamma2):
+    # the closed form at the exact float inputs, in 40-digit arithmetic
+    with mpmath.workdps(40):
+        g1, g2 = mpmath.mpf(gamma1), mpmath.mpf(gamma2)
+        dc = mpmath.fresnelc(g1 + g2) - mpmath.fresnelc(g1 - g2)
+        ds = mpmath.fresnels(g1 + g2) - mpmath.fresnels(g1 - g2)
+        return mpmath.sqrt(dc * dc + ds * ds) / (2 * g2)
+
+
+def test_gain_matches_mpmath_along_fixed_products():
+    # the solvers hold p = gamma1*gamma2 fixed; at small gamma2 gamma1 is
+    # large, and the phase must not be lost to the rounding of g1 +- g2
+    for gamma2 in (6e-7, 1e-5, 1e-3, 1e-2, 0.1, 1.0, 3.0, 10.0):
+        for p in (0.1, 0.3654, 0.5044, 0.9, 1.7, 7.3):
+            g1 = p / gamma2
+            want = _gain_mp(g1, gamma2)
+            got = gain_closed_form(g1, gamma2)
+            assert abs(got - want) <= 1e-13 * want, (gamma2, p, got, want)
 
 
 def test_gain_small_gamma2_follows_sinc_of_product():

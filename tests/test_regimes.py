@@ -17,6 +17,7 @@ from nearband.regimes import (
     band_distance,
     bmax,
     effective_rayleigh_distance,
+    far_field_product,
     fbar_from_gamma,
     fraunhofer_distance,
     gamma_from_regime,
@@ -153,11 +154,12 @@ def test_product_max_reference_constants():
 
 
 # Exact bits of the solver's results; a change that moves any of them
-# changes the numerics, not just the speed.
+# changes the numerics, not just the speed.  Above -2.81 dB they are the
+# far-field root, each within 1.8e-16 relative of a 40-digit mpmath root.
 @pytest.mark.parametrize("tau_db, bits", [
-    (-0.2, "0x1.5517768f35159p-3"),
-    (-1.0, "0x1.763cd4fa7a1a2p-2"),
-    (-2.0, "0x1.0245b720696b8p-1"),
+    (-0.2, "0x1.5517768e70b4bp-3"),
+    (-1.0, "0x1.763cd4fa4b5c7p-2"),
+    (-2.0, "0x1.0245b72068da4p-1"),
     (-3.0, "0x1.398ad0b3b6140p-1"),
 ])
 def test_product_max_bits_pinned(tau_db, bits):
@@ -166,13 +168,35 @@ def test_product_max_bits_pinned(tau_db, bits):
 def test_product_max_against_sinc_oracle():
     # the boundary product approaches the far-field squint root as gamma2 -> 0;
     # for these thresholds that edge is where the supremum lives
-    for db in (-2.0, -1.0, -0.5):
+    for db in np.arange(-2.8, -0.05, 0.1):
         tau = _db(db)
-        assert product_max(tau) == pytest.approx(sinc_threshold_root(tau), abs=1e-3)
+        root = sinc_threshold_root(tau)
+        assert abs(product_max(tau) - root) <= 4 * math.ulp(root)
+        assert product_max(tau) == far_field_product(tau)
     # at deeper thresholds the region bulges at moderate gamma2 and the
     # supremum exceeds the far-field limit; the root is then a lower bound
     tau3 = _db(-3.0)
     assert product_max(tau3) >= sinc_threshold_root(tau3) - 1e-9
+    assert product_max(tau3) > 1.01 * far_field_product(tau3)
+
+
+def test_far_field_product_within_few_ulp():
+    for db in np.concatenate([np.arange(-10.0, -0.05, 0.25), [-0.01, -1e-4]]):
+        tau = _db(db)
+        root = sinc_threshold_root(tau)
+        assert abs(far_field_product(tau) - root) <= 4 * math.ulp(root)
+
+
+@pytest.mark.parametrize("tau_db", [-10.0, -6.0, -2.9])
+def test_product_max_never_below_far_field_root(tau_db):
+    tau = _db(tau_db)
+    assert product_max(tau) >= far_field_product(tau)
+
+
+def test_far_field_product_domain_errors():
+    for bad in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="far_field_product"):
+            far_field_product(bad)
 
 
 def test_product_max_monotone_and_vanishing():
@@ -227,6 +251,14 @@ def test_aperture_bandwidth_bound():
     assert aperture_bandwidth_bound(tau, 0.0) == math.inf
     assert aperture_bandwidth_bound(_db(-0.5), math.radians(60)) <= \
         aperture_bandwidth_bound(_db(-1.5), math.radians(60))
+
+
+def test_broadside_bound_validates_threshold_first():
+    # broadside makes the bound vacuous (inf), but only for a valid tau
+    with pytest.raises(ValueError, match="linear gain threshold"):
+        aperture_bandwidth_bound(1.5, 0.0)
+    with pytest.raises(ValueError, match="linear gain threshold"):
+        bmax(0.1, -3.0, 0.0)
 
 
 def test_bmax_scaling_and_preset_value():
