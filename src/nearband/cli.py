@@ -54,20 +54,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _base_metadata(scenario: Scenario, command: str) -> list:
-    meta = [
-        ("tool", f"nearband {__version__}"),
-        ("command", command),
-        ("scenario.preset", scenario.band_preset),
-        ("scenario.carrier_hz", repr(scenario.carrier_hz)),
-        ("scenario.n_antennas", str(scenario.n_antennas)),
-        ("scenario.dbar", repr(scenario.dbar)),
-        ("scenario.theta_deg", repr(scenario.theta_deg)),
-        ("scenario.theta_worst_deg", repr(scenario.theta_worst_deg)),
-        ("scenario.tau_db", repr(scenario.tau_db)),
-    ]
+    meta = [("tool", f"nearband {__version__}"), ("command", command),
+            ("scenario.preset", scenario.band_preset)]
+    meta += [(f"scenario.{key}", repr(getattr(scenario, key))) for key in
+             ("carrier_hz", "n_antennas", "dbar", "theta_deg", "theta_worst_deg", "tau_db")]
     if scenario.tau_list_db:
-        meta.append(("scenario.tau_list_db",
-                     ", ".join(repr(t) for t in scenario.tau_list_db)))
+        meta.append(("scenario.tau_list_db", ", ".join(map(repr, scenario.tau_list_db))))
     if scenario.sweep is not None:
         s = scenario.sweep
         meta.append(("scenario.sweep",
@@ -78,9 +70,7 @@ def _base_metadata(scenario: Scenario, command: str) -> list:
 
 def _sweep_values(scenario: Scenario) -> np.ndarray:
     s = scenario.sweep
-    if s.scale == "log":
-        return np.geomspace(s.lo, s.hi, s.points)
-    return np.linspace(s.lo, s.hi, s.points)
+    return (np.geomspace if s.scale == "log" else np.linspace)(s.lo, s.hi, s.points)
 
 
 def _stride(seq, k: int):
@@ -94,14 +84,13 @@ def run_gain_surface(scenario: Scenario) -> tuple[SweepTable, tuple]:
     g1 = np.linspace(-g.gamma1_max, g.gamma1_max, g.gamma1_points)
     g2 = np.linspace(g.gamma2_max / g.gamma2_points, g.gamma2_max, g.gamma2_points)
     gains_db = to_db(gain_closed_form(g1[:, None], g2[None, :]))
-    g1, g2 = g1.tolist(), g2.tolist()
-    rows = [(x, y, v) for x, row in zip(g1, gains_db.tolist()) for y, v in zip(g2, row)]
+    # gamma1 outer, gamma2 inner
+    data = (np.repeat(g1, len(g2)), np.tile(g2, len(g1)), gains_db.ravel())
     meta = _base_metadata(scenario, "gain-surface")
     meta.append(("grid", f"gamma1 linspace(+-{g.gamma1_max!r}, {g.gamma1_points}) x "
                          f"gamma2 linspace(0, {g.gamma2_max!r}, {g.gamma2_points}]"))
-    series = [(f"gamma2={g2[j]:g}", g1, gains_db[:, j].tolist())
-              for j in _stride(range(len(g2)), 6)]
-    return (SweepTable(("gamma1", "gamma2", "gain_db"), rows, meta),
+    series = [(f"gamma2={g2[j]:g}", g1, gains_db[:, j]) for j in _stride(range(len(g2)), 6)]
+    return (SweepTable(("gamma1", "gamma2", "gain_db"), data, meta),
             (series, "gain surface cuts", "gamma1", "gain (dB)"))
 
 
@@ -113,22 +102,22 @@ def run_gain_cuts(scenario: Scenario) -> tuple[SweepTable, tuple]:
     # a cut with gamma1 held fixed sweeps gamma2, and vice versa
     layout = [(f"fixed gamma1 = {v!r}", "gamma2", v, g2_axis) for v in cuts.gamma1_values]
     layout += [(f"fixed gamma2 = {v!r}", "gamma1", g1_axis, v) for v in cuts.gamma2_values]
-    rows, series = [], []
+    parts, series = [], []
     meta = _base_metadata(scenario, "gain-cuts")
     for cut_id, (label, swept, g1, g2) in enumerate(layout):
         meta.append((f"cut.{cut_id}", f"{label}, sweep {swept}"))
         g1, g2 = np.broadcast_arrays(g1, g2)
-        ys = to_db(gain_closed_form(g1, g2)).tolist()
-        g1, g2 = g1.tolist(), g2.tolist()
-        rows.extend((cut_id, x1, x2, y) for x1, x2, y in zip(g1, g2, ys))
+        ys = to_db(gain_closed_form(g1, g2))
+        parts.append((np.full(len(ys), cut_id), g1, g2, ys))
         series.append((label, g2 if swept == "gamma2" else g1, ys))
-    return (SweepTable(("cut_id", "gamma1", "gamma2", "gain_db"), rows, meta),
+    return (SweepTable(("cut_id", "gamma1", "gamma2", "gain_db"),
+                       [np.concatenate(col) for col in zip(*parts)], meta),
             (series, "gain cuts", "swept gamma", "gain (dB)"))
 
 
 def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Main-lobe boundary points and the extracted product constant per tau."""
-    rows, series = [], []
+    parts, series = [], []
     meta = _base_metadata(scenario, "contours")
     meta.append(("contour.gamma2_grid",
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
@@ -138,12 +127,12 @@ def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
         pm = product_max(tau_lin)
         g1 = main_lobe_boundary(tau_lin, g2_grid)
         live = np.isfinite(g1)
-        xs, ys = g1[live].tolist(), g2_grid[live].tolist()
-        rows.extend((float(tau_db), x, y, x * y, pm) for x, y in zip(xs, ys))
-        if xs:
+        xs, ys = g1[live], g2_grid[live]
+        parts.append((np.full(len(xs), float(tau_db)), xs, ys, xs * ys, np.full(len(xs), pm)))
+        if len(xs):
             series.append((f"tau_db={tau_db:g}", xs, ys))
     return (SweepTable(("tau_db", "gamma1", "gamma2", "product", "product_max"),
-                       rows, meta),
+                       [np.concatenate(col) for col in zip(*parts)], meta),
             (_stride(series, 8), "main-lobe contours", "gamma1", "gamma2"))
 
 
@@ -151,22 +140,22 @@ def run_bmax_curve(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Maximum usable bandwidth vs gain threshold for the band presets."""
     if scenario.sweep is None or scenario.sweep.axis != "tau_db":
         raise ScenarioError("sweep.axis: bmax-curve requires a tau_db sweep")
-    taus_db = _sweep_values(scenario).tolist()
+    taus_db = _sweep_values(scenario)
     if taus_db[-1] >= 0:
         raise ScenarioError("sweep.max: tau_db sweep must stay below 0 dB")
     meta = _base_metadata(scenario, "bmax-curve")
     meta.append(("presets", "; ".join(
         f"N={n} carrier={fc/1e9:g}GHz" for n, fc in _BMAX_PRESETS)))
-    presets = [(n * scenario.dbar * (SPEED_OF_LIGHT_M_S / fc), fc) for n, fc in _BMAX_PRESETS]
-    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db]
-    bw = [[bmax(aperture, tau_lin, scenario.theta_worst_rad) for aperture, _ in presets]
-          for tau_lin in taus_lin]
-    rows = [(tau_db, aperture, fc, b) for tau_db, bs in zip(taus_db, bw)
-            for (aperture, fc), b in zip(presets, bs)]
+    apertures = [n * scenario.dbar * (SPEED_OF_LIGHT_M_S / fc) for n, fc in _BMAX_PRESETS]
+    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db.tolist()]
+    bw = np.array([[bmax(aperture, tau_lin, scenario.theta_worst_rad) for aperture in apertures]
+                   for tau_lin in taus_lin])
+    # tau outer, preset inner
+    data = (np.repeat(taus_db, len(apertures)), np.tile(apertures, len(taus_db)),
+            np.tile([fc for _, fc in _BMAX_PRESETS], len(taus_db)), bw.ravel())
     # one series per preset, so at most four
-    series = [(f"L={aperture:g}", taus_db, [bs[k] for bs in bw])
-              for k, (aperture, _) in enumerate(presets)]
-    return (SweepTable(("tau_db", "aperture_m", "carrier_hz", "bmax_hz"), rows, meta),
+    series = [(f"L={aperture:g}", taus_db, bw[:, k]) for k, aperture in enumerate(apertures)]
+    return (SweepTable(("tau_db", "aperture_m", "carrier_hz", "bmax_hz"), data, meta),
             (series, "max usable bandwidth", "tau (dB)", "B_max (Hz)", True))
 
 
@@ -177,7 +166,7 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
     fc = scenario.carrier_hz
     if not (-fc < scenario.sweep.lo and scenario.sweep.hi < fc):
         raise ScenarioError("sweep.min: band-map offsets must lie within (-carrier, +carrier)")
-    freqs = _sweep_values(scenario).tolist()
+    freqs = _sweep_values(scenario)
     lam = SPEED_OF_LIGHT_M_S / fc
     lbar = scenario.n_antennas * scenario.dbar
     aperture = lbar * lam
@@ -188,14 +177,16 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
                  "inf = diverged: offset past the far-field edge "
                  "far_field_product(tau)*fc/(lbar*|sin(theta)|), "
                  "which equals B_max/2 only above about -2.81 dB"))
-    taus = [(tau_db, ThresholdSpec.from_db(tau_db).tau_linear) for tau_db in scenario.taus_db]
-    dist = [[band_distance(f, fc, tau_lin, aperture, scenario.theta_rad)
-             for _, tau_lin in taus] for f in freqs]
-    rows = [(f, float(tau_db), d, d_erd, d_fa) for f, ds in zip(freqs, dist)
-            for (tau_db, _), d in zip(taus, ds)]
-    series = [(f"tau_db={tau_db:g}", freqs, [ds[k] for ds in dist])
-              for k, (tau_db, _) in _stride(list(enumerate(taus)), 8)]
-    return (SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), rows, meta),
+    taus_db = [float(tau_db) for tau_db in scenario.taus_db]
+    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db]
+    dist = np.array([[band_distance(f, fc, tau_lin, aperture, scenario.theta_rad)
+                      for tau_lin in taus_lin] for f in freqs.tolist()])
+    # offset outer, threshold inner
+    data = (np.repeat(freqs, len(taus_db)), np.tile(taus_db, len(freqs)), dist.ravel(),
+            np.full(dist.size, d_erd), np.full(dist.size, d_fa))
+    series = [(f"tau_db={tau_db:g}", freqs, dist[:, k])
+              for k, tau_db in _stride(list(enumerate(taus_db)), 8)]
+    return (SweepTable(("f_hz", "tau_db", "band_m", "d_erd_m", "d_fa_m"), data, meta),
             (series, "near-field boundary vs offset", "f (Hz)", "distance (m)", True))
 
 

@@ -37,8 +37,8 @@ Schema (version 1)::
 
 Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
-a header row, then data rows with shortest round-trip decimal floats and
-LF line endings.  A diverged distance is written as the literal ``inf``.
+a header row, then data rows with decimal integers, shortest round-trip
+floats and LF line endings.  A diverged distance is written as ``inf``.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 __all__ = [
     "ScenarioError",
@@ -64,7 +66,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 PRESET_CARRIER_HZ = {"n261": 28e9, "n260": 39e9}
 SWEEP_AXES = ("f_hz", "tau_db")
-# Size caps: every sweep materialises its rows in memory.
+# Size caps: every sweep holds its columns, and their CSV bytes, in memory.
 _MAX_SWEEP_POINTS = 10_000
 _MAX_TABLE_ROWS = 1_000_000
 
@@ -124,26 +126,37 @@ class Scenario:
         return self.tau_list_db if self.tau_list_db else (self.tau_db,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
-    """Rectangular numeric table plus a metadata block for the CSV header."""
+    """Column-major numeric table plus a metadata block for the CSV header.
+
+    ``data`` holds one 1-D integer or float array per column, all of one
+    length; bool and non-numeric columns, NaN and -inf are rejected.
+    """
 
     columns: tuple
-    rows: tuple
+    data: tuple
     metadata: tuple  # ordered (key, value) pairs
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
+        object.__setattr__(self, "data", tuple(np.asarray(c) for c in self.data))
         object.__setattr__(self, "metadata", tuple(tuple(kv) for kv in self.metadata))
-        width = len(self.columns)
-        for r in self.rows:
-            if len(r) != width:
-                raise ValueError("table rows must match the header width")
-            for v in r:
-                fv = float(v)
-                if math.isnan(fv) or fv == -math.inf:
-                    raise ValueError("NaN/-inf are not valid table values")
+        if len(self.data) != len(self.columns):
+            raise ValueError("table data must match the header width")
+        for col in self.data:
+            if col.dtype.kind not in "iuf":
+                raise TypeError(f"table columns must be integer or float, not {col.dtype}")
+            if col.ndim != 1 or len(col) != len(self.data[0]):
+                raise ValueError("table columns must be 1-D and of equal length")
+            # NaN and -inf are the values that do not compare above -inf
+            if not (col > -np.inf).all():
+                raise ValueError("NaN/-inf are not valid table values")
+
+    @property
+    def rows(self) -> tuple:
+        """The cells as row tuples of Python numbers, built on each access."""
+        return tuple(zip(*(col.tolist() for col in self.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,32 +394,28 @@ def serialize_scenario(scenario: Scenario) -> str:
         out.write("\n[sweep]\n")
         out.write(f"axis = {s.axis}\nmin = {s.lo!r}\nmax = {s.hi!r}\n")
         out.write(f"points = {s.points}\nscale = {s.scale}\n")
-    if scenario.grid != GridSpec():
-        g = scenario.grid
-        out.write("\n[grid]\n")
-        out.write(f"gamma1_max = {g.gamma1_max!r}\ngamma2_max = {g.gamma2_max!r}\n")
-        out.write(f"gamma1_points = {g.gamma1_points}\ngamma2_points = {g.gamma2_points}\n")
-    if scenario.cuts != CutSpec():
-        cut = scenario.cuts
-        out.write("\n[cuts]\n")
-        out.write("gamma1_values = " + ", ".join(repr(v) for v in cut.gamma1_values) + "\n")
-        out.write("gamma2_values = " + ", ".join(repr(v) for v in cut.gamma2_values) + "\n")
-        out.write(f"points = {cut.points}\n")
+    for section, spec in (("grid", scenario.grid), ("cuts", scenario.cuts)):
+        if spec != type(spec)():
+            out.write(f"\n[{section}]\n")
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+                out.write(f"{f.name} = {text}\n")
     return out.getvalue()
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("boolean table cells are not supported")
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
+_EMIT_BLOCK_ROWS = 8192
 
 
 def emit_csv(table: SweepTable) -> bytes:
-    """Serialize a table deterministically: metadata, header, rows, LF-only."""
-    lines = [f"# {key} = {value}" for key, value in table.metadata]
-    lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Serialize a table deterministically: metadata, header, rows, LF-only.
+
+    ``repr`` of the Python numbers from ``tolist`` gives decimal integers and
+    shortest round-trip floats; only one block of rows is formatted at a time.
+    """
+    head = [f"# {key} = {value}" for key, value in table.metadata] + [",".join(table.columns)]
+    blocks = [("\n".join(head) + "\n").encode("utf-8")]
+    for i in range(0, len(table.data[0]) if table.data else 0, _EMIT_BLOCK_ROWS):
+        cells = [map(repr, col[i:i + _EMIT_BLOCK_ROWS].tolist()) for col in table.data]
+        blocks.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+    return b"".join(blocks)

@@ -2,7 +2,9 @@
 
 Extended-precision (80-bit longdouble) summations evaluate the gains
 directly from naive full-length phases, deliberately avoiding the
-package's phase-stabilized production path.
+package's phase-stabilized production path.  ``csv_rows`` formats table
+rows one cell at a time, the reference for the column-blocked CSV
+emitter.
 """
 
 import math
@@ -87,3 +89,17 @@ def random_fresnel_configs(rng, count, n_choices=(128, 192, 256, 384, 512)):
         fbar = float(rng.uniform(-0.05, 0.05))
         configs.append((n, dbar, fc, rbar, theta, fbar))
     return configs
+
+
+def csv_cell(value) -> str:
+    """One CSV cell: ``str`` for an int, shortest round-trip ``repr`` otherwise."""
+    if isinstance(value, bool):
+        raise TypeError("boolean table cells are not supported")
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
+
+
+def csv_rows(rows) -> bytes:
+    """Data rows as CSV bytes: cells joined by ',', each row ended by LF."""
+    return "".join(",".join(map(csv_cell, row)) + "\n" for row in rows).encode("utf-8")

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from nearband.scenarios import (
     parse_scenario,
     serialize_scenario,
 )
+
+from _oracles import csv_rows
 
 MINIMAL = """
 [scenario]
@@ -146,14 +149,14 @@ def test_serialize_parse_roundtrip(scenario):
 
 
 def test_emit_csv_shapes():
-    empty = SweepTable(("x", "y"), (), (("tool", "t"),))
+    empty = SweepTable(("x", "y"), ([], []), (("tool", "t"),))
     assert emit_csv(empty) == b"# tool = t\nx,y\n"
-    one = SweepTable(("v",), ((0.5,),), ())
+    one = SweepTable(("v",), ([0.5],), ())
     assert emit_csv(one) == b"v\n0.5\n"
 
 
 def test_emit_csv_deterministic_and_lf_only():
-    table = SweepTable(("a", "b"), ((1.5, math.inf), (0.1, 3)), (("k", "v"),))
+    table = SweepTable(("a", "b"), ([1.5, 0.1], [math.inf, 3.0]), (("k", "v"),))
     blob = emit_csv(table)
     assert blob == emit_csv(table)
     assert b"\r" not in blob
@@ -172,6 +175,49 @@ def test_table_rejects_bad_values():
 
 def test_csv_floats_roundtrip():
     values = (0.1, 1 / 3, 7.25e-9, 39e9)
-    table = SweepTable(("x",), tuple((v,) for v in values), ())
+    table = SweepTable(("x",), (values,), ())
     lines = emit_csv(table).decode().splitlines()[1:]
     assert tuple(float(s) for s in lines) == values
+
+
+def test_table_rejects_bool_and_non_numeric_columns():
+    with pytest.raises(TypeError):
+        SweepTable(("a",), ((True,),), ())
+    with pytest.raises(TypeError):
+        SweepTable(("a",), (["x"],), ())
+    with pytest.raises(TypeError):
+        SweepTable(("a",), (np.array([1.0, None], dtype=object),), ())
+
+
+def test_table_rejects_ragged_or_nested_columns():
+    with pytest.raises(ValueError):
+        SweepTable(("a", "b"), ([1.0, 2.0], [1.0]), ())
+    with pytest.raises(ValueError):
+        SweepTable(("a",), (np.zeros((2, 2)),), ())
+
+
+def test_table_rows_follow_the_columns():
+    table = SweepTable(("i", "x"), (np.array([3, -1]), np.array([0.5, math.inf])), ())
+    assert table.rows == ((3, 0.5), (-1, math.inf))
+    assert all(type(v) in (int, float) for row in table.rows for v in row)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e308, -1e308, math.inf,
+                0.1, 1 / 3, 2.0 ** 53]
+_EDGE_INTS = [0, -1, 1, -(2 ** 63), 2 ** 63 - 1, 10 ** 16]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+@settings(max_examples=8)
+@given(
+    floats=st.lists(st.floats(allow_nan=False).filter(lambda v: v != -math.inf), max_size=12),
+    ints=st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=12),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_emit_csv_matches_per_cell_oracle(n_rows, floats, ints, seed):
+    rng = np.random.default_rng(seed)
+    fcol = rng.choice(np.array(floats + _EDGE_FLOATS), n_rows)
+    icol = rng.choice(np.array(ints + _EDGE_INTS, dtype=np.int64), n_rows)
+    table = SweepTable(("f", "i", "g"), (fcol, icol, fcol[::-1]), (("k", "v"),))
+    rows = zip(fcol.tolist(), icol.tolist(), fcol[::-1].tolist())
+    assert emit_csv(table) == b"# k = v\nf,i,g\n" + csv_rows(rows)
