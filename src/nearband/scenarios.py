@@ -39,6 +39,8 @@ Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
 a header row, then data rows with decimal integers, shortest round-trip
 floats and LF line endings.  A diverged distance is written as ``inf``.
+Rows are formatted a block at a time; a block column that repeats its
+values, as sweep axes do, formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -131,7 +133,8 @@ class SweepTable:
     """Column-major numeric table plus a metadata block for the CSV header.
 
     ``data`` holds one 1-D integer or float array per column, all of one
-    length; bool and non-numeric columns, NaN and -inf are rejected.
+    length; bool, non-numeric and wider-than-64-bit float columns, NaN and
+    -inf are rejected.
     """
 
     columns: tuple
@@ -145,18 +148,21 @@ class SweepTable:
         if len(self.data) != len(self.columns):
             raise ValueError("table data must match the header width")
         for col in self.data:
-            if col.dtype.kind not in "iuf":
-                raise TypeError(f"table columns must be integer or float, not {col.dtype}")
+            if col.dtype.kind not in "iuf" or col.itemsize > 8:
+                raise TypeError(f"table columns must be int or float <= 64 bits, not {col.dtype}")
             if col.ndim != 1 or len(col) != len(self.data[0]):
                 raise ValueError("table columns must be 1-D and of equal length")
-            # NaN and -inf are the values that do not compare above -inf
-            if not (col > -np.inf).all():
-                raise ValueError("NaN/-inf are not valid table values")
+            _check_values(col)
 
     @property
     def rows(self) -> tuple:
         """The cells as row tuples of Python numbers, built on each access."""
         return tuple(zip(*(col.tolist() for col in self.data)))
+
+
+def _check_values(col: np.ndarray) -> None:
+    if not (col > -np.inf).all():  # false exactly for NaN and -inf
+        raise ValueError("NaN/-inf are not valid table values")
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +413,29 @@ def serialize_scenario(scenario: Scenario) -> str:
 _EMIT_BLOCK_ROWS = 8192
 
 
+def _block_cells(col: np.ndarray):
+    """One column block as cell strings.  When at most half the cells are
+    distinct (keyed by bits, so -0.0 != 0.0), ``repr`` runs once per distinct
+    value; else lazily per cell, as expanding would hold all the strings."""
+    _check_values(col)
+    keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if 2 * len(first) > len(col):
+        return map(repr, col.tolist())
+    return np.array([repr(v) for v in col[first].tolist()], dtype=object)[inverse]
+
+
 def emit_csv(table: SweepTable) -> bytes:
     """Serialize a table deterministically: metadata, header, rows, LF-only.
 
     ``repr`` of the Python numbers from ``tolist`` gives decimal integers and
-    shortest round-trip floats; only one block of rows is formatted at a time.
+    shortest round-trip floats; only one block of rows is formatted at a
+    time.  Each block is checked for NaN/-inf (``ValueError``) first, as a
+    column may have been written to since the table was built.
     """
     head = [f"# {key} = {value}" for key, value in table.metadata] + [",".join(table.columns)]
     blocks = [("\n".join(head) + "\n").encode("utf-8")]
     for i in range(0, len(table.data[0]) if table.data else 0, _EMIT_BLOCK_ROWS):
-        cells = [map(repr, col[i:i + _EMIT_BLOCK_ROWS].tolist()) for col in table.data]
+        cells = [_block_cells(col[i:i + _EMIT_BLOCK_ROWS]) for col in table.data]
         blocks.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
     return b"".join(blocks)

@@ -189,6 +189,19 @@ def test_table_rejects_bool_and_non_numeric_columns():
         SweepTable(("a",), (np.array([1.0, None], dtype=object),), ())
 
 
+def test_table_rejects_floats_wider_than_64_bits():
+    with pytest.raises(TypeError):
+        SweepTable(("x",), (np.array([0.1], dtype=np.longdouble),), ())
+
+
+def test_emit_csv_rejects_a_column_changed_after_construction():
+    col = np.array([1.0, 2.0])
+    table = SweepTable(("x",), (col,), ())
+    col[0] = np.nan
+    with pytest.raises(ValueError):
+        emit_csv(table)
+
+
 def test_table_rejects_ragged_or_nested_columns():
     with pytest.raises(ValueError):
         SweepTable(("a", "b"), ([1.0, 2.0], [1.0]), ())
@@ -218,6 +231,11 @@ def test_emit_csv_matches_per_cell_oracle(n_rows, floats, ints, seed):
     rng = np.random.default_rng(seed)
     fcol = rng.choice(np.array(floats + _EDGE_FLOATS), n_rows)
     icol = rng.choice(np.array(ints + _EDGE_INTS, dtype=np.int64), n_rows)
-    table = SweepTable(("f", "i", "g"), (fcol, icol, fcol[::-1]), (("k", "v"),))
-    rows = zip(fcol.tolist(), icol.tolist(), fcol[::-1].tolist())
-    assert emit_csv(table) == b"# k = v\nf,i,g\n" + csv_rows(rows)
+    f32 = rng.choice(np.array([v for v in floats + _EDGE_FLOATS if abs(v) < 3e38 or v == math.inf],
+                              dtype=np.float32), n_rows)
+    i32 = rng.choice(np.array([0, -1, 1, -(2 ** 31), 2 ** 31 - 1], dtype=np.int32), n_rows)
+    distinct = rng.permutation(n_rows) / 7.0 - 1.0
+    data = (fcol, icol, fcol[::-1], f32, i32, distinct)
+    table = SweepTable(("f", "i", "g", "f32", "i32", "d"), data, (("k", "v"),))
+    rows = zip(*(col.tolist() for col in data))
+    assert emit_csv(table) == b"# k = v\nf,i,g,f32,i32,d\n" + csv_rows(rows)
