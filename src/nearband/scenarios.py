@@ -1,39 +1,24 @@
 """Scenario configuration documents and deterministic CSV emission.
 
-A scenario is a flat, typed key = value document in INI form.  Unknown
-sections or keys are rejected, as are preset/carrier conflicts.
+A scenario is a flat, typed key = value document in INI form: a required
+[scenario] section, which also carries ``schema_version = 1``, and the
+optional [sweep] (band-map, bmax-curve), [grid] (gain-surface) and [cuts]
+(gain-cuts).  The README's "Scenario files" block is a full example.
 
-Schema (version 1)::
+Each section is read into one frozen dataclass (``Scenario``,
+``SweepSpec``, ``GridSpec``, ``CutSpec``) by one reader driven by its
+fields.  A key is the field name, or the field's ``key`` metadata where
+the document says otherwise (preset, min, max); the field's type converts
+the text; a key with a field default is optional, one without is
+required.  Unknown sections or keys are rejected.
 
-    [scenario]
-    schema_version = 1            ; required
-    preset = n260|n261|custom     ; required; n261 pins carrier to 28 GHz,
-                                  ; n260 to 39 GHz
-    carrier_hz = <float>          ; required iff preset = custom
-    n_antennas = <int >= 1>       ; required
-    tau_db = <float < 0>          ; required
-    dbar = <float > 0>            ; default 0.5
-    theta_deg = <float>           ; default 60, |theta| < 90
-    theta_worst_deg = <float>     ; default 60, 0 < |theta| < 90
-    tau_list_db = <floats, comma separated>   ; default: tau_db
-
-    [sweep]                       ; needed by band-map (f_hz) / bmax-curve (tau_db)
-    axis = f_hz|tau_db
-    min = <float>                 ; min < max
-    max = <float>
-    points = <int >= 2>           ; at most 10,000
-    scale = linear|log            ; default linear
-
-    [grid]                        ; gain-surface defaults shown
-    gamma1_max = 3.0
-    gamma2_max = 3.0
-    gamma1_points = 121           ; gamma1_points * gamma2_points
-    gamma2_points = 120           ; at most 1,000,000
-
-    [cuts]                        ; gain-cuts defaults shown
-    gamma1_values = 0, 0.5, 1
-    gamma2_values = 0.5, 1, 2
-    points = 200                  ; points * (number of values) at most 1,000,000
+Validation lives with the values: each of those dataclasses checks its
+own limits in ``__post_init__`` and raises ``ScenarioError`` naming the
+document key path, so a scenario built in code is held to the same limits
+as one read from a document.  ``parse_scenario`` keeps only the rules
+across keys: the schema version, ``carrier_hz`` given iff the preset is
+custom (n261 fixes 28 GHz and n260 39 GHz), and the ``--linear`` reading
+of the taus.
 
 Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
@@ -48,7 +33,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -77,13 +62,64 @@ class ScenarioError(ValueError):
     """Malformed scenario document; message carries the offending key path."""
 
 
+# field annotations that name a document key; other fields are sections
+_KINDS = ("float", "int", "tuple", "str")
+
+
+def _convert(kind: str, path: str, text: str):
+    """The document text of a key as a value of its field's type ``kind``."""
+    if kind == "str":
+        return text
+    if kind == "tuple":
+        parts = [p.strip() for p in text.split(",") if p.strip()]
+        if not parts:
+            raise ScenarioError(f"{path}: expected at least one number")
+        return tuple(_convert("float", path, p) for p in parts)
+    try:
+        value = float(text) if kind == "float" else int(text)
+    except ValueError:
+        noun = "a number" if kind == "float" else "an integer"
+        raise ScenarioError(f"{path}: expected {noun}, got {text!r}") from None
+    if kind == "float" and not math.isfinite(value):  # before --linear reads a tau
+        raise ScenarioError(f"{path}: value must be finite")
+    return value
+
+
+def _keys(cls) -> list:
+    """(field, document key) for each key of the section that cls reads."""
+    return [(f, f.metadata.get("key", f.name)) for f in fields(cls) if f.type in _KINDS]
+
+
+def _check_finite(spec, section: str) -> None:
+    for f, key in _keys(type(spec)):
+        value = getattr(spec, f.name)
+        if f.type in ("float", "tuple") and not all(
+                map(math.isfinite, value if f.type == "tuple" else (value,))):
+            raise ScenarioError(f"{section}.{key}: value must be finite")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axis: str
-    lo: float
-    hi: float
+    lo: float = field(metadata={"key": "min"})
+    hi: float = field(metadata={"key": "max"})
     points: int
     scale: str = "linear"
+
+    def __post_init__(self):
+        _check_finite(self, "sweep")
+        if self.axis not in SWEEP_AXES:
+            raise ScenarioError(f"sweep.axis: unknown axis {self.axis!r}")
+        if not self.lo < self.hi:
+            raise ScenarioError("sweep.min: must be strictly less than sweep.max")
+        if self.points < 2:
+            raise ScenarioError("sweep.points: must be >= 2")
+        if self.points > _MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep.points: must be <= {_MAX_SWEEP_POINTS}")
+        if self.scale not in ("linear", "log"):
+            raise ScenarioError(f"sweep.scale: expected linear|log, got {self.scale!r}")
+        if self.scale == "log" and self.lo <= 0:
+            raise ScenarioError("sweep.min: log scale requires positive bounds")
 
 
 @dataclass(frozen=True)
@@ -93,6 +129,16 @@ class GridSpec:
     gamma1_points: int = 121
     gamma2_points: int = 120
 
+    def __post_init__(self):
+        _check_finite(self, "grid")
+        if self.gamma1_max <= 0 or self.gamma2_max <= 0:
+            raise ScenarioError("grid.gamma1_max: grid extents must be positive")
+        if self.gamma1_points < 2 or self.gamma2_points < 2:
+            raise ScenarioError("grid.gamma1_points: grids need at least 2 points")
+        if self.gamma1_points * self.gamma2_points > _MAX_TABLE_ROWS:
+            raise ScenarioError(
+                f"grid.gamma1_points: gamma1_points * gamma2_points must be <= {_MAX_TABLE_ROWS}")
+
 
 @dataclass(frozen=True)
 class CutSpec:
@@ -100,13 +146,23 @@ class CutSpec:
     gamma2_values: tuple = (0.5, 1.0, 2.0)
     points: int = 200
 
+    def __post_init__(self):
+        _check_finite(self, "cuts")
+        if any(v < 0 for v in self.gamma2_values):
+            raise ScenarioError("cuts.gamma2_values: must be nonnegative")
+        if self.points < 2:
+            raise ScenarioError("cuts.points: must be >= 2")
+        if self.points * (len(self.gamma1_values) + len(self.gamma2_values)) > _MAX_TABLE_ROWS:
+            raise ScenarioError(
+                f"cuts.points: points times the number of cut values must be <= {_MAX_TABLE_ROWS}")
+
 
 @dataclass(frozen=True)
 class Scenario:
     carrier_hz: float
     n_antennas: int
     tau_db: float
-    band_preset: str
+    band_preset: str = field(metadata={"key": "preset"})
     dbar: float = 0.5
     theta_deg: float = 60.0
     theta_worst_deg: float = 60.0
@@ -114,6 +170,29 @@ class Scenario:
     sweep: SweepSpec | None = None
     grid: GridSpec = GridSpec()
     cuts: CutSpec = CutSpec()
+
+    def __post_init__(self):
+        # the preset first: a document with an unknown preset gives carrier_hz None
+        if self.band_preset not in (*PRESET_CARRIER_HZ, "custom"):
+            raise ScenarioError(f"scenario.preset: unknown preset {self.band_preset!r}")
+        if self.band_preset != "custom" and self.carrier_hz != PRESET_CARRIER_HZ[self.band_preset]:
+            raise ScenarioError(
+                f"scenario.carrier_hz: conflicts with preset {self.band_preset!r}, "
+                "which fixes the carrier")
+        _check_finite(self, "scenario")
+        if self.carrier_hz <= 0:
+            raise ScenarioError("scenario.carrier_hz: must be positive")
+        if self.n_antennas < 1:
+            raise ScenarioError("scenario.n_antennas: must be >= 1")
+        for key, taus in (("tau_db", (self.tau_db,)), ("tau_list_db", self.tau_list_db)):
+            if any(t >= 0 for t in taus):
+                raise ScenarioError(f"scenario.{key}: must be negative (a loss threshold)")
+        if self.dbar <= 0:
+            raise ScenarioError("scenario.dbar: must be positive")
+        if not (abs(self.theta_deg) < 90):
+            raise ScenarioError("scenario.theta_deg: must satisfy |theta| < 90")
+        if not (0 < abs(self.theta_worst_deg) < 90):
+            raise ScenarioError("scenario.theta_worst_deg: must satisfy 0 < |theta| < 90")
 
     @property
     def theta_rad(self) -> float:
@@ -165,19 +244,23 @@ def _check_values(col: np.ndarray) -> None:
         raise ValueError("NaN/-inf are not valid table values")
 
 
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
+_SECTIONS = {"scenario": Scenario, "sweep": SweepSpec, "grid": GridSpec, "cuts": CutSpec}
+_KNOWN = {section: {key for _, key in _keys(cls)} for section, cls in _SECTIONS.items()}
+_KNOWN["scenario"].add("schema_version")
 
-_KNOWN = {
-    "scenario": (
-        "schema_version", "preset", "carrier_hz", "n_antennas", "tau_db",
-        "dbar", "theta_deg", "theta_worst_deg", "tau_list_db",
-    ),
-    "sweep": ("axis", "min", "max", "points", "scale"),
-    "grid": tuple(f.name for f in fields(GridSpec)),
-    "cuts": tuple(f.name for f in fields(CutSpec)),
-}
+
+def _read(raw: dict, section: str, cls, **given) -> dict:
+    """Keyword arguments for cls from its section, each key's text converted
+    by its field's type.  An absent key keeps the field default; a field
+    without one is required unless ``given``."""
+    values = dict(given)
+    for f, key in _keys(cls):
+        text = raw.get(section, {}).get(key)
+        if f.name not in given and text is not None:
+            values[f.name] = _convert(f.type, f"{section}.{key}", text)
+        elif f.name not in given and f.default is MISSING:
+            raise ScenarioError(f"{section}.{key}: required key is missing")
+    return values
 
 
 def _raw_sections(text: str) -> dict:
@@ -202,58 +285,10 @@ def _raw_sections(text: str) -> dict:
     return out
 
 
-def _take(raw: dict, section: str, key: str, required: bool = False, default=None):
-    value = raw.get(section, {}).get(key)
-    if value is None:
-        if required:
-            raise ScenarioError(f"{section}.{key}: required key is missing")
-        return default
-    return value
-
-
-def _as_float(path: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ScenarioError(f"{path}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}: value must be finite")
-    return value
-
-
-def _as_int(path: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ScenarioError(f"{path}: expected an integer, got {text!r}") from None
-
-
-def _as_float_list(path: str, text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ScenarioError(f"{path}: expected at least one number")
-    return tuple(_as_float(path, p) for p in parts)
-
-
-def _spec(raw: dict, section: str, cls):
-    """A GridSpec or CutSpec from its section; absent keys keep the defaults."""
-    convert = {float: _as_float, int: _as_int, tuple: _as_float_list}
-    values = {}
-    for f in fields(cls):
-        text = _take(raw, section, f.name)
-        values[f.name] = f.default if text is None \
-            else convert[type(f.default)](f"{section}.{f.name}", text)
-    return cls(**values)
-
-
-def _tau_db(path: str, value: float, linear: bool) -> float:
-    if linear:
-        if not (0.0 < value < 1.0):
-            raise ScenarioError(f"{path}: linear threshold must lie in (0, 1)")
-        return 10.0 * math.log10(value)
-    if value >= 0:
-        raise ScenarioError(f"{path}: must be negative (a loss threshold)")
-    return value
+def _linear_to_db(path: str, value: float) -> float:
+    if not (0.0 < value < 1.0):
+        raise ScenarioError(f"{path}: linear threshold must lie in (0, 1)")
+    return 10.0 * math.log10(value)
 
 
 def parse_scenario(text: str, overrides: dict | None = None,
@@ -274,139 +309,59 @@ def parse_scenario(text: str, overrides: dict | None = None,
             raise ScenarioError(f"{section}.{key}: unknown override key")
         raw.setdefault(section, {})[key] = value
 
-    version = _as_int("scenario.schema_version",
-                      _take(raw, "scenario", "schema_version", required=True))
+    doc = raw["scenario"]
+    if "schema_version" not in doc:
+        raise ScenarioError("scenario.schema_version: required key is missing")
+    version = _convert("int", "scenario.schema_version", doc["schema_version"])
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"scenario.schema_version: unsupported version {version}")
 
-    preset = _take(raw, "scenario", "preset", required=True)
-    if preset not in (*PRESET_CARRIER_HZ, "custom"):
-        raise ScenarioError(f"scenario.preset: unknown preset {preset!r}")
-    carrier_text = _take(raw, "scenario", "carrier_hz")
-    if preset == "custom":
-        if carrier_text is None:
+    # carrier_hz is given iff the preset is custom; n260 and n261 fix it
+    preset, given = doc.get("preset"), {}
+    if "carrier_hz" not in doc:
+        if preset == "custom":
             raise ScenarioError("scenario.carrier_hz: required for preset 'custom'")
-        carrier_hz = _as_float("scenario.carrier_hz", carrier_text)
-        if carrier_hz <= 0:
-            raise ScenarioError("scenario.carrier_hz: must be positive")
-    else:
-        if carrier_text is not None:
-            raise ScenarioError(
-                f"scenario.carrier_hz: conflicts with preset {preset!r}, "
-                "which fixes the carrier")
-        carrier_hz = PRESET_CARRIER_HZ[preset]
-
-    n_antennas = _as_int("scenario.n_antennas",
-                         _take(raw, "scenario", "n_antennas", required=True))
-    if n_antennas < 1:
-        raise ScenarioError("scenario.n_antennas: must be >= 1")
-
-    tau_db = _tau_db("scenario.tau_db",
-                     _as_float("scenario.tau_db",
-                               _take(raw, "scenario", "tau_db", required=True)),
-                     taus_are_linear)
-
-    dbar = _as_float("scenario.dbar", _take(raw, "scenario", "dbar", default="0.5"))
-    if dbar <= 0:
-        raise ScenarioError("scenario.dbar: must be positive")
-
-    theta_deg = _as_float("scenario.theta_deg",
-                          _take(raw, "scenario", "theta_deg", default="60"))
-    if not (abs(theta_deg) < 90):
-        raise ScenarioError("scenario.theta_deg: must satisfy |theta| < 90")
-
-    theta_worst_deg = _as_float("scenario.theta_worst_deg",
-                                _take(raw, "scenario", "theta_worst_deg", default="60"))
-    if not (0 < abs(theta_worst_deg) < 90):
-        raise ScenarioError("scenario.theta_worst_deg: must satisfy 0 < |theta| < 90")
-
-    tau_list_text = _take(raw, "scenario", "tau_list_db")
-    tau_list_db = ()
-    if tau_list_text is not None:
-        tau_list_db = tuple(
-            _tau_db("scenario.tau_list_db", v, taus_are_linear)
-            for v in _as_float_list("scenario.tau_list_db", tau_list_text)
-        )
-
-    sweep = None
-    if "sweep" in raw:
-        axis = _take(raw, "sweep", "axis", required=True)
-        if axis not in SWEEP_AXES:
-            raise ScenarioError(f"sweep.axis: unknown axis {axis!r}")
-        lo = _as_float("sweep.min", _take(raw, "sweep", "min", required=True))
-        hi = _as_float("sweep.max", _take(raw, "sweep", "max", required=True))
-        if not lo < hi:
-            raise ScenarioError("sweep.min: must be strictly less than sweep.max")
-        points = _as_int("sweep.points", _take(raw, "sweep", "points", required=True))
-        if points < 2:
-            raise ScenarioError("sweep.points: must be >= 2")
-        if points > _MAX_SWEEP_POINTS:
-            raise ScenarioError(f"sweep.points: must be <= {_MAX_SWEEP_POINTS}")
-        scale = _take(raw, "sweep", "scale", default="linear")
-        if scale not in ("linear", "log"):
-            raise ScenarioError(f"sweep.scale: expected linear|log, got {scale!r}")
-        if scale == "log" and lo <= 0:
-            raise ScenarioError("sweep.min: log scale requires positive bounds")
-        sweep = SweepSpec(axis, lo, hi, points, scale)
-
-    grid = _spec(raw, "grid", GridSpec)
-    if grid.gamma1_max <= 0 or grid.gamma2_max <= 0:
-        raise ScenarioError("grid.gamma1_max: grid extents must be positive")
-    if grid.gamma1_points < 2 or grid.gamma2_points < 2:
-        raise ScenarioError("grid.gamma1_points: grids need at least 2 points")
-    if grid.gamma1_points * grid.gamma2_points > _MAX_TABLE_ROWS:
+        given["carrier_hz"] = PRESET_CARRIER_HZ.get(preset)
+    elif preset in PRESET_CARRIER_HZ:
         raise ScenarioError(
-            f"grid.gamma1_points: gamma1_points * gamma2_points must be <= {_MAX_TABLE_ROWS}")
+            f"scenario.carrier_hz: conflicts with preset {preset!r}, which fixes the carrier")
+    values = _read(raw, "scenario", Scenario, **given)
 
-    cuts = _spec(raw, "cuts", CutSpec)
-    if cuts.points < 2:
-        raise ScenarioError("cuts.points: must be >= 2")
-    if cuts.points * (len(cuts.gamma1_values) + len(cuts.gamma2_values)) > _MAX_TABLE_ROWS:
-        raise ScenarioError(
-            f"cuts.points: points times the number of cut values must be <= {_MAX_TABLE_ROWS}")
+    if taus_are_linear:
+        values["tau_db"] = _linear_to_db("scenario.tau_db", values["tau_db"])
+        if "tau_list_db" in values:
+            values["tau_list_db"] = tuple(_linear_to_db("scenario.tau_list_db", v)
+                                          for v in values["tau_list_db"])
 
     return Scenario(
-        carrier_hz=carrier_hz,
-        n_antennas=n_antennas,
-        tau_db=tau_db,
-        band_preset=preset,
-        dbar=dbar,
-        theta_deg=theta_deg,
-        theta_worst_deg=theta_worst_deg,
-        tau_list_db=tau_list_db,
-        sweep=sweep,
-        grid=grid,
-        cuts=cuts,
+        **values,
+        sweep=SweepSpec(**_read(raw, "sweep", SweepSpec)) if "sweep" in raw else None,
+        grid=GridSpec(**_read(raw, "grid", GridSpec)),
+        cuts=CutSpec(**_read(raw, "cuts", CutSpec)),
     )
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical document for a Scenario; parse(serialize(s)) == s."""
+    """Canonical document for a Scenario; parse(serialize(s)) == s.
+
+    A key is written when its value differs from the field default, and
+    carrier_hz only for the custom preset.
+    """
     out = io.StringIO()
-    out.write("[scenario]\n")
-    out.write(f"schema_version = {SCHEMA_VERSION}\n")
-    out.write(f"preset = {scenario.band_preset}\n")
-    if scenario.band_preset == "custom":
-        out.write(f"carrier_hz = {scenario.carrier_hz!r}\n")
-    out.write(f"n_antennas = {scenario.n_antennas}\n")
-    out.write(f"tau_db = {scenario.tau_db!r}\n")
-    out.write(f"dbar = {scenario.dbar!r}\n")
-    out.write(f"theta_deg = {scenario.theta_deg!r}\n")
-    out.write(f"theta_worst_deg = {scenario.theta_worst_deg!r}\n")
-    if scenario.tau_list_db:
-        out.write("tau_list_db = " + ", ".join(repr(t) for t in scenario.tau_list_db) + "\n")
-    if scenario.sweep is not None:
-        s = scenario.sweep
-        out.write("\n[sweep]\n")
-        out.write(f"axis = {s.axis}\nmin = {s.lo!r}\nmax = {s.hi!r}\n")
-        out.write(f"points = {s.points}\nscale = {s.scale}\n")
-    for section, spec in (("grid", scenario.grid), ("cuts", scenario.cuts)):
-        if spec != type(spec)():
+    out.write(f"[scenario]\nschema_version = {SCHEMA_VERSION}\n")
+    for section, cls in _SECTIONS.items():
+        spec = scenario if cls is Scenario else getattr(scenario, section)
+        if spec is None:
+            continue
+        keys = [(key, getattr(spec, f.name)) for f, key in _keys(cls)
+                if getattr(spec, f.name) != f.default
+                and (f.name != "carrier_hz" or scenario.band_preset == "custom")]
+        if keys and cls is not Scenario:
             out.write(f"\n[{section}]\n")
-            for f in fields(spec):
-                value = getattr(spec, f.name)
-                text = ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
-                out.write(f"{f.name} = {text}\n")
+        for key, value in keys:
+            text = value if isinstance(value, str) else \
+                ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+            out.write(f"{key} = {text}\n")
     return out.getvalue()
 
 
@@ -429,13 +384,14 @@ def emit_csv(table: SweepTable) -> bytes:
     """Serialize a table deterministically: metadata, header, rows, LF-only.
 
     ``repr`` of the Python numbers from ``tolist`` gives decimal integers and
-    shortest round-trip floats; only one block of rows is formatted at a
-    time.  Each block is checked for NaN/-inf (``ValueError``) first, as a
-    column may have been written to since the table was built.
+    shortest round-trip floats; one block of rows at a time is formatted
+    into one buffer.  Each block is checked for NaN/-inf (``ValueError``)
+    first, as a column may have been written to since the table was built.
     """
     head = [f"# {key} = {value}" for key, value in table.metadata] + [",".join(table.columns)]
-    blocks = [("\n".join(head) + "\n").encode("utf-8")]
+    out = io.BytesIO()
+    out.write(("\n".join(head) + "\n").encode("utf-8"))
     for i in range(0, len(table.data[0]) if table.data else 0, _EMIT_BLOCK_ROWS):
         cells = [_block_cells(col[i:i + _EMIT_BLOCK_ROWS]) for col in table.data]
-        blocks.append(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
-    return b"".join(blocks)
+        out.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+    return out.getvalue()

@@ -291,6 +291,9 @@ def test_usage_errors(tmp_path, scenario_file, capsys):
                  "--set", "oops"]) == EXIT_USAGE
     # wrong sweep axis for the command
     assert main(["band-map", "--scenario", str(cfg), "--out", out]) == EXIT_USAGE
+    # a negative cut gamma2 is a scenario error, not a computation error
+    assert main(["gain-cuts", "--scenario", str(cfg), "--out", out,
+                 "--set", "cuts.gamma2_values=-0.5"]) == EXIT_USAGE
     capsys.readouterr()
 
 

@@ -74,10 +74,34 @@ def test_n261_preset_carrier():
      "linear|log"),
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = -1\nmax = 1\npoints = 4\nscale = log\n",
      "log scale requires positive"),
+    (lambda d: d + "\n[cuts]\ngamma2_values = -0.5\n", "cuts.gamma2_values: must be nonnegative"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_rejections(mutation, fragment):
     with pytest.raises(ScenarioError, match=fragment.replace("|", r"\|")):
         parse_scenario(mutation(MINIMAL))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GridSpec(gamma2_points=0), "grid.gamma1_points: grids need at least 2 points"),
+    (lambda: GridSpec(gamma1_points=1001, gamma2_points=1000), "grid.gamma1_points: .* <= 1000000"),
+    (lambda: GridSpec(gamma2_max=math.inf), "grid.gamma2_max: value must be finite"),
+    (lambda: SweepSpec("f_hz", 5.0, 1.0, 4), "sweep.min: must be strictly less than sweep.max"),
+    (lambda: SweepSpec("f_hz", 0.0, 1.0, 10**4 + 1), "sweep.points: must be <= 10000"),
+    (lambda: SweepSpec("f_hz", 5.0, 10.0, 4, "cubic"), "sweep.scale: expected linear|log"),
+    (lambda: SweepSpec("f_hz", 0.0, 1.0, 4, "log"), "sweep.min: log scale requires positive"),
+    (lambda: SweepSpec("f_hz", 1.0, math.inf, 4, "log"), "sweep.max: value must be finite"),
+    (lambda: CutSpec(points=1), "cuts.points: must be >= 2"),
+    (lambda: CutSpec(gamma2_values=(1.0, -0.5)), "cuts.gamma2_values: must be nonnegative"),
+    (lambda: CutSpec(gamma1_values=(math.nan,)), "cuts.gamma1_values: value must be finite"),
+    (lambda: Scenario(30e9, 64, -1.0, "n260"), "scenario.carrier_hz: conflicts with preset 'n260'"),
+    (lambda: Scenario(39e9, 0, -1.0, "n260"), "scenario.n_antennas: must be >= 1"),
+    (lambda: Scenario(39e9, 64, 3.0, "n260"), "scenario.tau_db: must be negative"),
+    (lambda: Scenario(39e9, 64, -1.0, "n260", tau_list_db=(-1.0, 0.5)),
+     "scenario.tau_list_db: must be negative"),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_types_enforce_the_document_limits(build, message):
+    with pytest.raises(ScenarioError, match=message.replace("|", r"\|")):
+        build()
 
 
 def test_custom_preset_roundtrip():
