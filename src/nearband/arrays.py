@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_M_S
-from .regimes import Regime, _check_finite, _fresnel_distance
+from .regimes import Regime, _check_finite, _check_positive, _fresnel_distance
 
 __all__ = [
     "VARIANTS",
@@ -49,6 +49,13 @@ class FresnelRegionWarning(UserWarning):
     quadratic-phase approximation still evaluates but degrades."""
 
 
+def _check_count(n_antennas) -> None:
+    """Raise ``ValueError`` unless the element count is a whole number >= 1
+    (a float or numpy integer of integral value counts as one)."""
+    if not (n_antennas >= 1 and n_antennas % 1 == 0):
+        raise ValueError("n_antennas must be a positive integer")
+
+
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Uniform linear array: element count, spacing (m) and carrier (Hz)."""
@@ -58,11 +65,8 @@ class ArrayGeometry:
     carrier_hz: float
 
     def __post_init__(self):
-        if self.n_antennas < 1 or self.n_antennas != int(self.n_antennas):
-            raise ValueError("n_antennas must be a positive integer")
-        for name in ("spacing_m", "carrier_hz"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        _check_count(self.n_antennas)
+        _check_positive(spacing_m=self.spacing_m, carrier_hz=self.carrier_hz)
 
     @property
     def aperture_m(self) -> float:
@@ -89,8 +93,7 @@ class ObserverPoint:
     angle_rad: float
 
     def __post_init__(self):
-        if not 0.0 < self.range_m < math.inf:
-            raise ValueError("range_m must be positive and finite")
+        _check_positive(range_m=self.range_m)
         if not (abs(self.angle_rad) < math.pi / 2):
             raise ValueError("angle_rad must lie in (-pi/2, pi/2)")
 
@@ -195,8 +198,7 @@ def gain_fresnel_sum(regime: Regime, n_antennas: int) -> float:
     Outside the radiating near-field region a ``FresnelRegionWarning`` is
     emitted and the formula still evaluates.
     """
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be a positive integer")
+    _check_count(n_antennas)
     n = np.arange(n_antennas)
     centered = n - (n_antennas - 1) / 2.0
     # element distances and the near-field floor, both in wavelengths

@@ -33,7 +33,8 @@ from .regimes import (
     main_lobe_boundary,
     product_max,
 )
-from .scenarios import Scenario, ScenarioError, SweepTable, emit_csv, parse_scenario
+from .scenarios import (PRESET_CARRIER_HZ, Scenario, ScenarioError, SweepTable, _key_text,
+                        emit_csv, parse_scenario)
 from .svgplot import svg_line_chart
 from .verify import format_report, run_verify
 
@@ -43,7 +44,8 @@ EXIT_COMPUTE = 2
 EXIT_VERIFY = 3
 
 _CONTOUR_GAMMA2_POINTS = 512
-_BMAX_PRESETS = ((128, 28e9), (64, 28e9), (128, 39e9), (64, 39e9))
+# N = 128 and 64 at each preset carrier: n261 (28 GHz), then n260 (39 GHz)
+_BMAX_PRESETS = tuple((n, fc) for fc in PRESET_CARRIER_HZ.values() for n in (128, 64))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,10 +58,10 @@ class _Parser(argparse.ArgumentParser):
 def _base_metadata(scenario: Scenario, command: str) -> list:
     meta = [("tool", f"nearband {__version__}"), ("command", command),
             ("scenario.preset", scenario.band_preset)]
-    meta += [(f"scenario.{key}", repr(getattr(scenario, key))) for key in
+    meta += [(f"scenario.{key}", _key_text(getattr(scenario, key))) for key in
              ("carrier_hz", "n_antennas", "dbar", "theta_deg", "theta_worst_deg", "tau_db")]
     if scenario.tau_list_db:
-        meta.append(("scenario.tau_list_db", ", ".join(map(repr, scenario.tau_list_db))))
+        meta.append(("scenario.tau_list_db", _key_text(scenario.tau_list_db)))
     if scenario.sweep is not None:
         s = scenario.sweep
         meta.append(("scenario.sweep",
@@ -122,15 +124,14 @@ def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
     meta.append(("contour.gamma2_grid",
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
     g2_grid = np.geomspace(1e-3, 6.0, _CONTOUR_GAMMA2_POINTS)
-    for tau_db in scenario.taus_db:
-        tau_lin = ThresholdSpec.from_db(tau_db).tau_linear
-        pm = product_max(tau_lin)
-        g1 = main_lobe_boundary(tau_lin, g2_grid)
+    for tau in scenario.taus:
+        pm = product_max(tau.tau_linear)
+        g1 = main_lobe_boundary(tau.tau_linear, g2_grid)
         live = np.isfinite(g1)
         xs, ys = g1[live], g2_grid[live]
-        parts.append((np.full(len(xs), float(tau_db)), xs, ys, xs * ys, np.full(len(xs), pm)))
+        parts.append((np.full(len(xs), tau.tau_db), xs, ys, xs * ys, np.full(len(xs), pm)))
         if len(xs):
-            series.append((f"tau_db={tau_db:g}", xs, ys))
+            series.append((f"tau_db={tau.tau_db:g}", xs, ys))
     return (SweepTable(("tau_db", "gamma1", "gamma2", "product", "product_max"),
                        [np.concatenate(col) for col in zip(*parts)], meta),
             (_stride(series, 8), "main-lobe contours", "gamma1", "gamma2"))
@@ -141,15 +142,16 @@ def run_bmax_curve(scenario: Scenario) -> tuple[SweepTable, tuple]:
     if scenario.sweep is None or scenario.sweep.axis != "tau_db":
         raise ScenarioError("sweep.axis: bmax-curve requires a tau_db sweep")
     taus_db = _sweep_values(scenario)
-    if taus_db[-1] >= 0:
-        raise ScenarioError("sweep.max: tau_db sweep must stay below 0 dB")
+    try:
+        taus = [ThresholdSpec.from_db(tau_db) for tau_db in taus_db.tolist()]
+    except ValueError:
+        raise ScenarioError("sweep.max: tau_db sweep must stay below 0 dB") from None
     meta = _base_metadata(scenario, "bmax-curve")
     meta.append(("presets", "; ".join(
         f"N={n} carrier={fc/1e9:g}GHz" for n, fc in _BMAX_PRESETS)))
     apertures = [n * scenario.dbar * (SPEED_OF_LIGHT_M_S / fc) for n, fc in _BMAX_PRESETS]
-    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db.tolist()]
-    bw = np.array([[bmax(aperture, tau_lin, scenario.theta_worst_rad) for aperture in apertures]
-                   for tau_lin in taus_lin])
+    bw = np.array([[bmax(aperture, tau.tau_linear, scenario.theta_worst_rad)
+                    for aperture in apertures] for tau in taus])
     # tau outer, preset inner
     data = (np.repeat(taus_db, len(apertures)), np.tile(apertures, len(taus_db)),
             np.tile([fc for _, fc in _BMAX_PRESETS], len(taus_db)), bw.ravel())
@@ -177,10 +179,9 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
                  "inf = diverged: offset past the far-field edge "
                  "far_field_product(tau)*fc/(lbar*|sin(theta)|), "
                  "which equals B_max/2 only above about -2.81 dB"))
-    taus_db = [float(tau_db) for tau_db in scenario.taus_db]
-    taus_lin = [ThresholdSpec.from_db(tau_db).tau_linear for tau_db in taus_db]
-    dist = np.array([[band_distance(f, fc, tau_lin, aperture, scenario.theta_rad)
-                      for tau_lin in taus_lin] for f in freqs.tolist()])
+    taus_db = [tau.tau_db for tau in scenario.taus]
+    dist = np.array([[band_distance(f, fc, tau.tau_linear, aperture, scenario.theta_rad)
+                      for tau in scenario.taus] for f in freqs.tolist()])
     # offset outer, threshold inner
     data = (np.repeat(freqs, len(taus_db)), np.tile(taus_db, len(freqs)), dist.ravel(),
             np.full(dist.size, d_erd), np.full(dist.size, d_fa))

@@ -86,17 +86,23 @@ class Regime:
 
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """Gain threshold, stored in linear scale; tau_linear in (0, 1]."""
+    """Gain threshold in both units: the solvers take ``tau_linear`` in (0, 1),
+    documents echo ``tau_db``.  ``from_db`` and ``from_linear`` keep the value
+    given exactly and derive the other unit once."""
 
     tau_linear: float
+    tau_db: float
 
     def __post_init__(self):
-        if not (0.0 < self.tau_linear <= 1.0):
-            raise ValueError("tau_linear must lie in (0, 1]")
+        _check_threshold(self.tau_linear, "ThresholdSpec")
 
     @classmethod
     def from_db(cls, tau_db: float) -> "ThresholdSpec":
-        return cls(10.0 ** (tau_db / 10.0))
+        return cls(10.0 ** (min(tau_db, 0.0) / 10.0), tau_db)  # min: >= 0 dB must not overflow
+
+    @classmethod
+    def from_linear(cls, tau_linear: float) -> "ThresholdSpec":
+        return cls(tau_linear, 10.0 * math.log10(tau_linear) if tau_linear > 0.0 else math.nan)
 
 
 def _gamma_map(fbar: float, rbar, lbar: float, theta_rad: float):
@@ -133,10 +139,17 @@ def rbar_from_gamma(fbar: float, gamma2: float, lbar: float, theta_rad: float) -
     """Recover the normalized distance: rbar = lbar^2 cos^2(theta) (1+fbar) / (2 gamma2^2).
 
     gamma2 = 0 corresponds to infinite distance and returns the ``inf``
-    sentinel rather than raising.
+    sentinel rather than raising.  Raises ``ValueError`` naming the argument
+    unless every input is finite, 1 + fbar > 0, gamma2 >= 0, lbar > 0 and
+    |theta| < pi/2.
     """
+    _check_finite(fbar=fbar, gamma2=gamma2)
+    if not 1.0 + fbar > 0.0:
+        raise ValueError(f"fbar must satisfy 1 + fbar > 0, got {fbar!r}")
     if gamma2 < 0.0:
         raise ValueError("gamma2 must be nonnegative")
+    _check_positive(lbar=lbar)
+    _check_angle(theta_rad)
     if gamma2 == 0.0:
         return math.inf
     cos_t = math.cos(theta_rad)
@@ -150,9 +163,22 @@ def _check_finite(**args: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_positive(**args: float) -> None:
+    """Raise ``ValueError`` naming the first argument not positive and finite."""
+    for name, value in args.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_angle(theta_rad: float) -> None:
+    if not abs(theta_rad) < math.pi / 2:
+        raise ValueError(f"theta_rad must satisfy |theta_rad| < pi/2, got {theta_rad!r}")
+
+
 def _check_threshold(tau_linear: float, caller: str) -> None:
     if not (0.0 < tau_linear < 1.0):
-        raise ValueError(f"{caller} requires a linear gain threshold in (0, 1)")
+        raise ValueError(f"{caller} requires a linear gain threshold tau_linear in (0, 1), "
+                         f"got {tau_linear!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +338,7 @@ def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float
     Broadside worst-case angle makes the bound vacuous and returns the
     ``inf`` sentinel, once tau is known to be a linear gain in (0, 1).
     """
-    _check_finite(tau_linear=tau_linear, theta_worst_rad=theta_worst_rad)
+    _check_finite(theta_worst_rad=theta_worst_rad)
     _check_threshold(tau_linear, "aperture_bandwidth_bound")
     sin_t = math.sin(theta_worst_rad)
     if sin_t == 0.0:
@@ -322,8 +348,7 @@ def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float
 
 def bmax(aperture_m: float, tau_linear: float, theta_worst_rad: float) -> float:
     """Maximum usable bandwidth (Hz) for a fixed aperture at a gain threshold."""
-    if not 0.0 < aperture_m < math.inf:
-        raise ValueError("aperture_m must be positive and finite")
+    _check_positive(aperture_m=aperture_m)
     return aperture_bandwidth_bound(tau_linear, theta_worst_rad) / aperture_m
 
 
@@ -355,12 +380,9 @@ def band_distance(
     scan floor is returned.  Along the ray p = gamma1*gamma2 =
     -fbar lbar sin(theta) is fixed, so the gain is evaluated at that p.
     """
-    _check_finite(f_hz=f_hz, fc_hz=fc_hz, tau_linear=tau_linear,
-                  aperture_m=aperture_m, theta_rad=theta_rad)
-    if fc_hz <= 0.0 or aperture_m <= 0.0:
-        raise ValueError("carrier and aperture must be positive")
-    if not (abs(theta_rad) < math.pi / 2):
-        raise ValueError("band_distance requires |theta| < pi/2")
+    _check_finite(f_hz=f_hz)
+    _check_positive(fc_hz=fc_hz, aperture_m=aperture_m)
+    _check_angle(theta_rad)
     fbar = f_hz / fc_hz
     if 1.0 + fbar <= 0.0:
         raise ValueError("band_distance requires 1 + f/fc > 0")
@@ -369,7 +391,7 @@ def band_distance(
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
     r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
-    r_hi = 1e6 * fraunhofer_distance(lbar, lam)
+    r_hi = 1e6 * _fraunhofer_distance(lbar, lam)
 
     p = abs(fbar * lbar * math.sin(theta_rad))
 
@@ -400,14 +422,22 @@ def band_distance(
 
 def effective_rayleigh_distance(theta_rad: float, lbar: float, wavelength_m: float) -> float:
     """Angle-dependent near-field boundary at the 0.95 linear gain level:
-    0.367 * cos^2(theta) * 2 * lbar^2 * lambda_c."""
+    0.367 * cos^2(theta) * 2 * lbar^2 * lambda_c.  Raises ``ValueError``
+    unless |theta| < pi/2 and lbar, wavelength_m are positive and finite."""
+    _check_angle(theta_rad)
     cos_t = math.cos(theta_rad)
     return RAYLEIGH_COEFF * cos_t * cos_t * fraunhofer_distance(lbar, wavelength_m)
 
 
 def fraunhofer_distance(lbar: float, wavelength_m: float) -> float:
-    """Classical far-field boundary 2 * lbar^2 * lambda_c (= 2 L^2 / lambda)."""
-    return 2.0 * lbar * lbar * wavelength_m
+    """Classical far-field boundary 2 * lbar^2 * lambda_c (= 2 L^2 / lambda).
+    Raises ``ValueError`` unless lbar and wavelength_m are positive and finite."""
+    _check_positive(lbar=lbar, wavelength_m=wavelength_m)
+    return _fraunhofer_distance(lbar, wavelength_m)
+
+
+def _fraunhofer_distance(lbar: float, wavelength: float) -> float:
+    return 2.0 * lbar * lbar * wavelength  # unchecked, for band_distance
 
 
 def _fresnel_distance(aperture: float, wavelength: float) -> float:

@@ -16,9 +16,9 @@ Validation lives with the values: each of those dataclasses checks its
 own limits in ``__post_init__`` and raises ``ScenarioError`` naming the
 document key path, so a scenario built in code is held to the same limits
 as one read from a document.  ``parse_scenario`` keeps only the rules
-across keys: the schema version, ``carrier_hz`` given iff the preset is
-custom (n261 fixes 28 GHz and n260 39 GHz), and the ``--linear`` reading
-of the taus.
+across keys: the schema version and ``carrier_hz`` given iff the preset is
+custom (n261 fixes 28 GHz and n260 39 GHz).  A tau is read into a
+``ThresholdSpec`` from the number written, in dB or (``--linear``) linear.
 
 Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
@@ -36,6 +36,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
+
+from .regimes import ThresholdSpec
 
 __all__ = [
     "ScenarioError",
@@ -55,6 +57,8 @@ PRESET_CARRIER_HZ = {"n261": 28e9, "n260": 39e9}
 SWEEP_AXES = ("f_hz", "tau_db")
 # Size caps: every sweep holds its columns, and their CSV bytes, in memory.
 _MAX_SWEEP_POINTS = 10_000
+# far above any phased array; keeps n_antennas * dbar a finite float
+_MAX_ANTENNAS = 1_000_000
 _MAX_TABLE_ROWS = 1_000_000
 
 
@@ -62,27 +66,39 @@ class ScenarioError(ValueError):
     """Malformed scenario document; message carries the offending key path."""
 
 
-# field annotations that name a document key; other fields are sections
-_KINDS = ("float", "int", "tuple", "str")
+# annotations of the fields that are keys (a tuple by its element's); others are sections
+_ELEMENT = {"tuple": "float", "tuple[ThresholdSpec, ...]": "ThresholdSpec"}
+_KINDS = ("float", "int", "str", "ThresholdSpec", *_ELEMENT)
 
 
-def _convert(kind: str, path: str, text: str):
+def _threshold(path: str, value, linear: bool = False) -> ThresholdSpec:
+    """A threshold given in dB (or as a linear gain) as a ThresholdSpec."""
+    if isinstance(value, ThresholdSpec):
+        return value
+    try:
+        return ThresholdSpec.from_linear(value) if linear else ThresholdSpec.from_db(value)
+    except ValueError:
+        rule = ("value must be finite" if not math.isfinite(value) else
+                "linear threshold must lie in (0, 1)" if linear else
+                "must be negative (a loss threshold)")
+        raise ScenarioError(f"{path}: {rule}") from None
+
+
+def _convert(kind: str, path: str, text: str, linear: bool = False):
     """The document text of a key as a value of its field's type ``kind``."""
     if kind == "str":
         return text
-    if kind == "tuple":
+    if kind in _ELEMENT:
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
             raise ScenarioError(f"{path}: expected at least one number")
-        return tuple(_convert("float", path, p) for p in parts)
+        return tuple(_convert(_ELEMENT[kind], path, p, linear) for p in parts)
     try:
-        value = float(text) if kind == "float" else int(text)
+        value = int(text) if kind == "int" else float(text)
     except ValueError:
-        noun = "a number" if kind == "float" else "an integer"
+        noun = "an integer" if kind == "int" else "a number"
         raise ScenarioError(f"{path}: expected {noun}, got {text!r}") from None
-    if kind == "float" and not math.isfinite(value):  # before --linear reads a tau
-        raise ScenarioError(f"{path}: value must be finite")
-    return value
+    return _threshold(path, value, linear) if kind == "ThresholdSpec" else value
 
 
 def _keys(cls) -> list:
@@ -159,14 +175,17 @@ class CutSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """The [scenario] section and the sections it holds.  Each tau is a
+    ``ThresholdSpec``; a plain number given in code is read as dB."""
+
     carrier_hz: float
     n_antennas: int
-    tau_db: float
+    tau_db: ThresholdSpec
     band_preset: str = field(metadata={"key": "preset"})
     dbar: float = 0.5
     theta_deg: float = 60.0
     theta_worst_deg: float = 60.0
-    tau_list_db: tuple = ()
+    tau_list_db: tuple[ThresholdSpec, ...] = ()
     sweep: SweepSpec | None = None
     grid: GridSpec = GridSpec()
     cuts: CutSpec = CutSpec()
@@ -184,9 +203,11 @@ class Scenario:
             raise ScenarioError("scenario.carrier_hz: must be positive")
         if self.n_antennas < 1:
             raise ScenarioError("scenario.n_antennas: must be >= 1")
-        for key, taus in (("tau_db", (self.tau_db,)), ("tau_list_db", self.tau_list_db)):
-            if any(t >= 0 for t in taus):
-                raise ScenarioError(f"scenario.{key}: must be negative (a loss threshold)")
+        if self.n_antennas > _MAX_ANTENNAS:
+            raise ScenarioError(f"scenario.n_antennas: must be <= {_MAX_ANTENNAS}")
+        object.__setattr__(self, "tau_db", _threshold("scenario.tau_db", self.tau_db))
+        object.__setattr__(self, "tau_list_db", tuple(
+            _threshold("scenario.tau_list_db", t) for t in self.tau_list_db))
         if self.dbar <= 0:
             raise ScenarioError("scenario.dbar: must be positive")
         if not (abs(self.theta_deg) < 90):
@@ -203,8 +224,8 @@ class Scenario:
         return math.radians(self.theta_worst_deg)
 
     @property
-    def taus_db(self) -> tuple:
-        return self.tau_list_db if self.tau_list_db else (self.tau_db,)
+    def taus(self) -> tuple:
+        return self.tau_list_db or (self.tau_db,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,15 +270,15 @@ _KNOWN = {section: {key for _, key in _keys(cls)} for section, cls in _SECTIONS.
 _KNOWN["scenario"].add("schema_version")
 
 
-def _read(raw: dict, section: str, cls, **given) -> dict:
+def _read(raw: dict, section: str, cls, linear: bool = False, **given) -> dict:
     """Keyword arguments for cls from its section, each key's text converted
-    by its field's type.  An absent key keeps the field default; a field
-    without one is required unless ``given``."""
+    by its field's type (a tau as linear with ``linear``).  An absent key
+    keeps the field default; a field without one is required unless ``given``."""
     values = dict(given)
     for f, key in _keys(cls):
         text = raw.get(section, {}).get(key)
         if f.name not in given and text is not None:
-            values[f.name] = _convert(f.type, f"{section}.{key}", text)
+            values[f.name] = _convert(f.type, f"{section}.{key}", text, linear)
         elif f.name not in given and f.default is MISSING:
             raise ScenarioError(f"{section}.{key}: required key is missing")
     return values
@@ -285,12 +306,6 @@ def _raw_sections(text: str) -> dict:
     return out
 
 
-def _linear_to_db(path: str, value: float) -> float:
-    if not (0.0 < value < 1.0):
-        raise ScenarioError(f"{path}: linear threshold must lie in (0, 1)")
-    return 10.0 * math.log10(value)
-
-
 def parse_scenario(text: str, overrides: dict | None = None,
                    taus_are_linear: bool = False) -> Scenario:
     """Parse and validate a scenario document.
@@ -299,7 +314,8 @@ def parse_scenario(text: str, overrides: dict | None = None,
     ``section.key`` to replacement raw values; they are applied before
     validation, so every constraint still holds for the merged result.
     With ``taus_are_linear`` the tau values in the document are read as
-    linear gains in (0, 1) and converted to dB internally.
+    linear gains in (0, 1): each ``ThresholdSpec`` keeps that value as
+    ``tau_linear`` and derives ``tau_db`` from it.
     """
     raw = _raw_sections(text)
     for spec, value in (overrides or {}).items():
@@ -325,14 +341,7 @@ def parse_scenario(text: str, overrides: dict | None = None,
     elif preset in PRESET_CARRIER_HZ:
         raise ScenarioError(
             f"scenario.carrier_hz: conflicts with preset {preset!r}, which fixes the carrier")
-    values = _read(raw, "scenario", Scenario, **given)
-
-    if taus_are_linear:
-        values["tau_db"] = _linear_to_db("scenario.tau_db", values["tau_db"])
-        if "tau_list_db" in values:
-            values["tau_list_db"] = tuple(_linear_to_db("scenario.tau_list_db", v)
-                                          for v in values["tau_list_db"])
-
+    values = _read(raw, "scenario", Scenario, taus_are_linear, **given)
     return Scenario(
         **values,
         sweep=SweepSpec(**_read(raw, "sweep", SweepSpec)) if "sweep" in raw else None,
@@ -345,7 +354,9 @@ def serialize_scenario(scenario: Scenario) -> str:
     """Canonical document for a Scenario; parse(serialize(s)) == s.
 
     A key is written when its value differs from the field default, and
-    carrier_hz only for the custom preset.
+    carrier_hz only for the custom preset.  Thresholds are written as their
+    dB echo, so the round trip is exact for thresholds built from dB; one
+    read with ``--linear`` comes back as ``from_db`` of its echo.
     """
     out = io.StringIO()
     out.write(f"[scenario]\nschema_version = {SCHEMA_VERSION}\n")
@@ -359,10 +370,15 @@ def serialize_scenario(scenario: Scenario) -> str:
         if keys and cls is not Scenario:
             out.write(f"\n[{section}]\n")
         for key, value in keys:
-            text = value if isinstance(value, str) else \
-                ", ".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
-            out.write(f"{key} = {text}\n")
+            out.write(f"{key} = {_key_text(value)}\n")
     return out.getvalue()
+
+
+def _key_text(value) -> str:
+    """A key's value as document text; a threshold as its dB echo."""
+    if isinstance(value, (str, tuple)):
+        return value if isinstance(value, str) else ", ".join(map(_key_text, value))
+    return repr(value.tau_db if isinstance(value, ThresholdSpec) else value)
 
 
 _EMIT_BLOCK_ROWS = 8192

@@ -31,6 +31,20 @@ from .regimes import (
 
 __all__ = ["CheckResult", "run_verify", "format_report"]
 
+# Reference anchors, shared with the tests: the contour constants
+# [gamma1*gamma2]_max by tau in dB, the far-field distance (m) of a
+# 128-element half-wavelength array at 28 GHz, band_distance at the Rayleigh
+# and Fraunhofer levels (relative), and the gain chain: exact summation vs
+# the quadratic-phase sum, and that sum vs the closed form for N elements.
+PRODUCT_MAX_ANCHORS, PRODUCT_MAX_TOL = {-2.0: 0.5044, -1.0: 0.3654}, 0.005
+FRAUNHOFER_ANCHOR_M, FRAUNHOFER_TOL_M = 87.7, 0.5
+BOUNDARY_REL_TOL = 0.02
+EXACT_VS_SUM_TOL = 0.01
+
+
+def sum_vs_closed_tol(n_antennas: int) -> float:
+    return max(0.02, 5.0 / n_antennas)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -82,29 +96,29 @@ def _gain_chain_checks() -> list:
         closed = gain_closed_form(*gamma_from_regime(regime))
         worst_exact_sum = max(worst_exact_sum, abs(exact - approx))
         worst_sum_closed = max(worst_sum_closed, abs(approx - closed))
-        tol_sum_closed = max(tol_sum_closed, max(0.02, 5.0 / n))
+        tol_sum_closed = max(tol_sum_closed, sum_vs_closed_tol(n))
     return [
-        _result("gain-exact-vs-fresnel-sum", worst_exact_sum, 0.01),
+        _result("gain-exact-vs-fresnel-sum", worst_exact_sum, EXACT_VS_SUM_TOL),
         _result("gain-fresnel-sum-vs-closed-form", worst_sum_closed, tol_sum_closed),
     ]
 
 
 def _constant_checks() -> list:
-    pm2 = product_max(ThresholdSpec.from_db(-2.0).tau_linear)
-    pm1 = product_max(ThresholdSpec.from_db(-1.0).tau_linear)
-    lam28 = SPEED_OF_LIGHT_M_S / 28e9
-    d_fa = fraunhofer_distance(64.0, lam28)
+    contours = [
+        _result(f"contour-constant-minus{-tau_db:g}db",
+                abs(product_max(ThresholdSpec.from_db(tau_db).tau_linear) - anchor),
+                PRODUCT_MAX_TOL)
+        for tau_db, anchor in PRODUCT_MAX_ANCHORS.items()]
+    d_fa = fraunhofer_distance(64.0, SPEED_OF_LIGHT_M_S / 28e9)
 
     lam39 = SPEED_OF_LIGHT_M_S / 39e9
     aperture = 32.0 * lam39
     theta = math.radians(60.0)
     band0 = band_distance(0.0, 39e9, RAYLEIGH_GAIN_LINEAR, aperture, theta)
     d_erd = effective_rayleigh_distance(theta, 32.0, lam39)
-    return [
-        _result("contour-constant-minus2db", abs(pm2 - 0.5044), 0.005),
-        _result("contour-constant-minus1db", abs(pm1 - 0.3654), 0.005),
-        _result("fraunhofer-anchor-128x28ghz", abs(d_fa - 87.7), 0.5),
-        _result("rayleigh-boundary-consistency", abs(band0 - d_erd) / d_erd, 0.02),
+    return contours + [
+        _result("fraunhofer-anchor-128x28ghz", abs(d_fa - FRAUNHOFER_ANCHOR_M), FRAUNHOFER_TOL_M),
+        _result("rayleigh-boundary-consistency", abs(band0 - d_erd) / d_erd, BOUNDARY_REL_TOL),
     ]
 
 

@@ -20,6 +20,15 @@ from nearband.regimes import (
     gamma_from_regime,
     product_max,
 )
+from nearband.verify import (
+    BOUNDARY_REL_TOL,
+    EXACT_VS_SUM_TOL,
+    FRAUNHOFER_ANCHOR_M,
+    FRAUNHOFER_TOL_M,
+    PRODUCT_MAX_ANCHORS,
+    PRODUCT_MAX_TOL,
+    sum_vs_closed_tol,
+)
 
 from _oracles import random_fresnel_configs
 
@@ -52,16 +61,19 @@ def test_criterion_2_contour_constants():
     t1 = time.perf_counter()
     pm1 = product_max(_DB(-1.0))
     t2 = time.perf_counter()
-    ok = (abs(pm2 - 0.5044) <= 0.005 and abs(pm1 - 0.3654) <= 0.005
+    want2, want1 = PRODUCT_MAX_ANCHORS[-2.0], PRODUCT_MAX_ANCHORS[-1.0]
+    ok = (abs(pm2 - want2) <= PRODUCT_MAX_TOL and abs(pm1 - want1) <= PRODUCT_MAX_TOL
           and (t1 - t0) < 2.0 and (t2 - t1) < 2.0)
-    assert _verdict(2, ok, f"product_max(-2dB)={pm2:.5f} (0.5044+-0.005, {t1-t0:.2f} s), "
-                           f"product_max(-1dB)={pm1:.5f} (0.3654+-0.005, {t2-t1:.2f} s)")
+    assert _verdict(2, ok, f"product_max(-2dB)={pm2:.5f} ({want2}+-{PRODUCT_MAX_TOL}, "
+                           f"{t1-t0:.2f} s), product_max(-1dB)={pm1:.5f} "
+                           f"({want1}+-{PRODUCT_MAX_TOL}, {t2-t1:.2f} s)")
 
 
 def test_criterion_3_fraunhofer_anchor():
     d_fa = fraunhofer_distance(64.0, C / 28e9)
-    ok = abs(d_fa - 87.7) <= 0.5
-    assert _verdict(3, ok, f"d_FA(N=128, dbar=0.5, 28 GHz) = {d_fa:.3f} m (87.7 +- 0.5)")
+    ok = abs(d_fa - FRAUNHOFER_ANCHOR_M) <= FRAUNHOFER_TOL_M
+    assert _verdict(3, ok, f"d_FA(N=128, dbar=0.5, 28 GHz) = {d_fa:.3f} m "
+                           f"({FRAUNHOFER_ANCHOR_M} +- {FRAUNHOFER_TOL_M})")
 
 
 def test_criterion_4_rayleigh_consistency():
@@ -75,9 +87,9 @@ def test_criterion_4_rayleigh_consistency():
                 got = band_distance(0.0, fc, 0.95, lbar * lam, theta)
                 want = effective_rayleigh_distance(theta, lbar, lam)
                 worst = max(worst, abs(got - want) / want)
-    ok = worst <= 0.02
+    ok = worst <= BOUNDARY_REL_TOL
     assert _verdict(4, ok, f"band_distance(f=0, tau=0.95) vs 0.367 cos^2 * 2 lbar^2 lam: "
-                           f"worst rel err {worst:.4%} (tol 2%)")
+                           f"worst rel err {worst:.4%} (tol {BOUNDARY_REL_TOL:.0%})")
 
 
 def test_criterion_5_fraunhofer_consistency():
@@ -89,9 +101,9 @@ def test_criterion_5_fraunhofer_consistency():
             got = band_distance(0.0, fc, 0.99317, lbar * lam, 0.0)
             want = fraunhofer_distance(lbar, lam)
             worst = max(worst, abs(got - want) / want)
-    ok = worst <= 0.02
+    ok = worst <= BOUNDARY_REL_TOL
     assert _verdict(5, ok, f"band_distance(f=0, tau=0.99317) vs 2 lbar^2 lam: "
-                           f"worst rel err {worst:.4%} (tol 2%)")
+                           f"worst rel err {worst:.4%} (tol {BOUNDARY_REL_TOL:.0%})")
 
 
 def test_criterion_6_band_shape_and_divergence():
@@ -133,10 +145,10 @@ def test_criterion_7_consistency_chain():
         closed = gain_closed_form(*gamma_from_regime(regime))
         worst_exact = max(worst_exact, abs(exact - approx))
         worst_closed = max(worst_closed, abs(approx - closed))
-        ok = ok and abs(exact - approx) <= 0.01 \
-            and abs(approx - closed) <= max(0.02, 5.0 / n)
+        ok = ok and abs(exact - approx) <= EXACT_VS_SUM_TOL \
+            and abs(approx - closed) <= sum_vs_closed_tol(n)
     assert _verdict(7, ok, f"200 Fresnel-region configs (N >= 128): "
-                           f"max|exact-sum|={worst_exact:.4f} (tol 0.01), "
+                           f"max|exact-sum|={worst_exact:.4f} (tol {EXACT_VS_SUM_TOL}), "
                            f"max|sum-closed|={worst_closed:.4f} (tol max(0.02, 5/N))")
 
 

@@ -173,6 +173,19 @@ def test_fresnel_sum_trivial_cases():
     assert gain_fresnel_sum(huge_range, 64) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_element_counts_must_be_whole():
+    # np.arange(2.5) has 3 terms, so a fractional count used to give G > 1
+    reg = Regime(0.01, 5000.0, 0.5, 32.0, 0.5)
+    for bad in (2.5, 0, -3, math.inf, math.nan):
+        with pytest.raises(ValueError, match="n_antennas"):
+            gain_fresnel_sum(reg, bad)
+        with pytest.raises(ValueError, match="n_antennas"):
+            ArrayGeometry(bad, 0.01, 1e9)
+    assert gain_fresnel_sum(reg, np.int64(64)) == gain_fresnel_sum(reg, 64)
+    assert ArrayGeometry(np.int32(8), 0.01, 1e9).aperture_m == \
+        ArrayGeometry(8, 0.01, 1e9).aperture_m
+
+
 def test_fresnel_sum_warning_outside_region():
     inside = Regime(0.01, 4.0 * 32.0**1.5, 0.5, 32.0, 0.3)
     with warnings.catch_warnings():

@@ -7,6 +7,7 @@ import pytest
 
 import nearband.cli as cli
 from nearband.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
+from nearband.verify import PRODUCT_MAX_ANCHORS, PRODUCT_MAX_TOL
 
 MINIMAL = """\
 [scenario]
@@ -96,9 +97,9 @@ def test_contours_output(tmp_path, scenario_file):
     assert main(["contours", "--scenario", str(cfg), "--out", str(out)]) == EXIT_OK
     _, header, rows = _read_table(out)
     assert header == ["tau_db", "gamma1", "gamma2", "product", "product_max"]
-    pm = {r[0]: float(r[4]) for r in rows}
-    assert pm["-1.0"] == pytest.approx(0.3654, abs=0.005)
-    assert pm["-2.0"] == pytest.approx(0.5044, abs=0.005)
+    pm = {float(r[0]): float(r[4]) for r in rows}
+    for tau_db, anchor in PRODUCT_MAX_ANCHORS.items():
+        assert pm[tau_db] == pytest.approx(anchor, abs=PRODUCT_MAX_TOL)
     # every emitted boundary point reproduces its threshold gain
     from nearband.fresnel import gain_closed_form
     for r in rows[:50]:
@@ -256,6 +257,36 @@ def test_linear_flag(tmp_path, scenario_file):
     _, _, rows = _read_table(out)
     taus = {float(r[0]) for r in rows}
     assert min(taus) == pytest.approx(10 * math.log10(0.95), abs=1e-6)
+
+
+def test_linear_flag_hands_the_written_threshold_to_the_solver(tmp_path, scenario_file):
+    # 0.595 does not survive a dB round trip (10**(log10(v)) is
+    # 0.5949999999999999), and the far-field root of the two values differs
+    from nearband import product_max
+    doc = MINIMAL.replace("tau_db = -1", "tau_db = 0.595").replace(
+        "tau_list_db = -0.2, -1, -2\n", "")
+    out = tmp_path / "c.csv"
+    assert main(["contours", "--scenario", str(scenario_file(doc)), "--out", str(out),
+                 "--linear"]) == EXIT_OK
+    meta, _, rows = _read_table(out)
+    assert "# scenario.tau_db = " + repr(10.0 * math.log10(0.595)) in meta
+    assert {r[4] for r in rows} == {repr(product_max(0.595))}
+
+
+def test_threshold_rounding_to_0_db_is_a_usage_error(tmp_path, scenario_file, capsys):
+    # -1e-17 dB is negative, but its linear value rounds to 1.0
+    out = tmp_path / "c.csv"
+    assert main(["contours", "--scenario", str(scenario_file(MINIMAL)), "--out", str(out),
+                 "--set", "tau_db=-1e-17"]) == EXIT_USAGE
+    assert "nearband: scenario.tau_db: must be negative" in capsys.readouterr().err
+
+
+def test_oversized_n_antennas_is_a_usage_error(tmp_path, scenario_file, capsys):
+    # n_antennas * dbar must stay a finite float in band-map
+    out = tmp_path / "b.csv"
+    assert main(["band-map", "--scenario", str(scenario_file(BAND_SWEEP)), "--out", str(out),
+                 "--set", "n_antennas=" + "9" * 401]) == EXIT_USAGE
+    assert "nearband: scenario.n_antennas: must be <= 1000000" in capsys.readouterr().err
 
 
 def test_set_overrides_change_output(tmp_path, scenario_file):

@@ -26,7 +26,7 @@ def _block(lang: str) -> str:
 def test_scenario_block_parses():
     scenario = parse_scenario(_block("ini"))
     assert (scenario.band_preset, scenario.carrier_hz) == ("n260", 39e9)
-    assert scenario.tau_list_db == (-0.2, -1.0, -2.0)
+    assert tuple(t.tau_db for t in scenario.tau_list_db) == (-0.2, -1.0, -2.0)
     assert (scenario.sweep.axis, scenario.sweep.points) == ("f_hz", 33)
 
 

@@ -128,6 +128,18 @@ def test_regime_rejects_non_finite(field, bad):
                  id="band-aperture_m"),
     pytest.param(band_distance, (1e8, 39e9, 0.8, 0.3, -math.inf), "theta_rad",
                  id="band-theta_rad"),
+    # the closed-form distances and rbar_from_gamma reject out-of-range
+    # values as well as non-finite ones
+    pytest.param(fraunhofer_distance, (64.0, -0.01), "wavelength_m", id="fa-wavelength_m"),
+    pytest.param(fraunhofer_distance, (-64.0, 0.01), "lbar", id="fa-lbar"),
+    pytest.param(fraunhofer_distance, (math.nan, 0.01), "lbar", id="fa-lbar-nan"),
+    pytest.param(effective_rayleigh_distance, (2.0, 64.0, 0.01), "theta_rad", id="erd-theta_rad"),
+    pytest.param(effective_rayleigh_distance, (0.5, 64.0, 0.0), "wavelength_m",
+                 id="erd-wavelength_m"),
+    pytest.param(rbar_from_gamma, (-2.0, 0.5, 32.0, 0.0), "fbar", id="rbar-fbar"),
+    pytest.param(rbar_from_gamma, (0.0, math.inf, 32.0, 0.0), "gamma2", id="rbar-gamma2"),
+    pytest.param(rbar_from_gamma, (0.0, 0.0, -32.0, 0.0), "lbar", id="rbar-lbar"),
+    pytest.param(rbar_from_gamma, (0.0, 0.5, 32.0, -2.0), "theta_rad", id="rbar-theta_rad"),
 ])
 def test_threshold_inversions_reject_non_finite(fn, args, name):
     with pytest.raises(ValueError, match=name):
@@ -135,12 +147,17 @@ def test_threshold_inversions_reject_non_finite(fn, args, name):
 
 
 def test_threshold_spec():
-    assert ThresholdSpec(0.5).tau_linear == 0.5
-    assert ThresholdSpec.from_db(-1.0).tau_linear == pytest.approx(_db(-1.0), rel=1e-14)
-    with pytest.raises(ValueError):
-        ThresholdSpec(0.0)
-    with pytest.raises(ValueError):
-        ThresholdSpec(1.5)
+    # the given value is kept exactly; the other unit is derived once
+    assert ThresholdSpec.from_db(-1.0) == ThresholdSpec(_db(-1.0), -1.0)
+    assert ThresholdSpec.from_linear(0.3) == ThresholdSpec(0.3, 10.0 * math.log10(0.3))
+    for bad_db in (0.0, -1e-17, 3.0, 1e6, -4000.0, math.nan):
+        with pytest.raises(ValueError, match="ThresholdSpec"):
+            ThresholdSpec.from_db(bad_db)
+    for bad in (0.0, 1.0, 1.5, -0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ThresholdSpec"):
+            ThresholdSpec.from_linear(bad)
+    with pytest.raises(ValueError, match="ThresholdSpec"):
+        ThresholdSpec(1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

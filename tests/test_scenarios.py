@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nearband.regimes import ThresholdSpec
 from nearband.scenarios import (
     CutSpec,
     GridSpec,
@@ -36,8 +37,8 @@ def test_minimal_document_defaults():
     assert s.band_preset == "n260"
     assert s.dbar == 0.5
     assert s.theta_worst_deg == 60.0
-    assert s.tau_db == -1.0
-    assert s.taus_db == (-1.0,)
+    assert s.tau_db == ThresholdSpec.from_db(-1.0)
+    assert s.taus == (s.tau_db,)
     assert s.sweep is None
 
 
@@ -54,6 +55,8 @@ def test_n261_preset_carrier():
     (lambda d: d + "\n[extras]\nx = 1\n", "unknown section"),
     (lambda d: d.replace("schema_version = 1", "schema_version = 7"), "unsupported version"),
     (lambda d: d.replace("tau_db = -1", "tau_db = 0.3"), "negative"),
+    # negative, but 10**(-1e-18) rounds to a linear gain of 1.0
+    (lambda d: d.replace("tau_db = -1", "tau_db = -1e-17"), "scenario.tau_db: must be negative"),
     (lambda d: d.replace("tau_db = -1", "tau_db = lots"), "expected a number"),
     (lambda d: d.replace("n_antennas = 64", "n_antennas = 0"), ">= 1"),
     (lambda d: d.replace("n_antennas = 64", ""), "required key is missing"),
@@ -95,6 +98,7 @@ def test_rejections(mutation, fragment):
     (lambda: CutSpec(gamma1_values=(math.nan,)), "cuts.gamma1_values: value must be finite"),
     (lambda: Scenario(30e9, 64, -1.0, "n260"), "scenario.carrier_hz: conflicts with preset 'n260'"),
     (lambda: Scenario(39e9, 0, -1.0, "n260"), "scenario.n_antennas: must be >= 1"),
+    (lambda: Scenario(39e9, 10**6 + 1, -1.0, "n260"), "scenario.n_antennas: must be <= 1000000"),
     (lambda: Scenario(39e9, 64, 3.0, "n260"), "scenario.tau_db: must be negative"),
     (lambda: Scenario(39e9, 64, -1.0, "n260", tau_list_db=(-1.0, 0.5)),
      "scenario.tau_list_db: must be negative"),
@@ -111,13 +115,27 @@ def test_custom_preset_roundtrip():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
+LINEAR = MINIMAL.replace("tau_db = -1", "tau_db = 0.5")
+
+
 def test_linear_tau_interpretation():
     s = parse_scenario(MINIMAL.replace("tau_db = -1", "tau_db = 0.95"),
                        taus_are_linear=True)
-    assert s.tau_db == pytest.approx(10 * math.log10(0.95), rel=1e-14)
+    assert s.tau_db == ThresholdSpec(0.95, 10 * math.log10(0.95))
     with pytest.raises(ScenarioError, match="linear threshold"):
         parse_scenario(MINIMAL.replace("tau_db = -1", "tau_db = 1.5"),
                        taus_are_linear=True)
+    with pytest.raises(ScenarioError, match=r"scenario\.tau_list_db: linear threshold"):
+        parse_scenario(LINEAR + "tau_list_db = 0.5, 1\n", taus_are_linear=True)
+
+
+def test_linear_taus_keep_every_bit():
+    # 244 of these do not survive a trip through dB and back
+    values = [k / 1000 for k in range(1, 1000)]
+    doc = LINEAR + "tau_list_db = " + ", ".join(map(repr, values)) + "\n"
+    s = parse_scenario(doc, taus_are_linear=True)
+    assert [t.tau_linear for t in s.tau_list_db] == values
+    assert [t.tau_db for t in s.tau_list_db] == [10.0 * math.log10(v) for v in values]
 
 
 def test_override_paths():
@@ -127,7 +145,7 @@ def test_override_paths():
         "sweep.axis": "tau_db", "sweep.min": "-3", "sweep.max": "-0.5",
         "sweep.points": "7", "sweep.scale": "linear",
     })
-    assert s.tau_db == -2.5
+    assert s.tau_db == ThresholdSpec.from_db(-2.5)
     assert s.theta_deg == 30.0
     assert s.sweep == SweepSpec("tau_db", -3.0, -0.5, 7, "linear")
     with pytest.raises(ScenarioError, match="unknown override"):
@@ -138,12 +156,12 @@ scenario_strategy = st.builds(
     Scenario,
     carrier_hz=st.sampled_from([28e9, 39e9]),
     n_antennas=st.integers(min_value=1, max_value=4096),
-    tau_db=st.floats(min_value=-30.0, max_value=-0.01),
+    tau_db=st.floats(min_value=-30.0, max_value=-0.01).map(ThresholdSpec.from_db),
     band_preset=st.just("custom"),
     dbar=st.floats(min_value=0.1, max_value=1.0),
     theta_deg=st.floats(min_value=-89.0, max_value=89.0),
     theta_worst_deg=st.floats(min_value=1.0, max_value=89.0),
-    tau_list_db=st.lists(st.floats(min_value=-30.0, max_value=-0.01),
+    tau_list_db=st.lists(st.floats(min_value=-30.0, max_value=-0.01).map(ThresholdSpec.from_db),
                          min_size=0, max_size=4).map(tuple),
     sweep=st.one_of(
         st.none(),
