@@ -1,0 +1,91 @@
+"""Cold product_max at every 0.25 dB step on [-10, -0.1] dB.
+
+For each threshold prints tau_db, product_max as float.hex and as a
+decimal and the kernel rounds (calls of the gain kernel) the solve took,
+as CSV on stdout, and the wall time of each cold solve on stderr.
+
+    python scripts/solver_sweep.py > scripts/solver_sweep.csv   # rewrite the table
+    python scripts/solver_sweep.py --check                      # compare with it
+
+``--check`` exits 1 when a value differs from scripts/solver_sweep.csv by
+more than 4 ulp or a threshold is missing.  Rounds are recorded, not
+compared: an ulp of difference in the kernel on another platform can
+move the secant finish by a round.  Needs the nearband package
+importable (``pip install .`` or ``PYTHONPATH=src``).
+"""
+
+import argparse
+import math
+import sys
+import time
+from pathlib import Path
+
+import nearband.regimes as regimes
+
+COMMITTED = Path(__file__).resolve().with_name("solver_sweep.csv")
+HEADER = "tau_db,product_max_hex,product_max,rounds"
+TAUS_DB = [-10.0 + 0.25 * k for k in range(40)] + [-0.1]
+TOL_ULP = 4
+
+
+def sweep() -> list:
+    rounds = 0
+    kernel = regimes._gain_pq
+
+    def counted(p, gamma2):
+        nonlocal rounds
+        rounds += 1
+        return kernel(p, gamma2)
+
+    regimes._gain_pq = counted
+    rows = []
+    try:
+        for tau_db in TAUS_DB:
+            regimes.product_max.cache_clear()
+            rounds = 0
+            start = time.perf_counter()
+            value = regimes.product_max(10.0 ** (tau_db / 10.0))
+            wall = time.perf_counter() - start
+            rows.append(f"{tau_db!r},{value.hex()},{value!r},{rounds}")
+            print(f"{tau_db!r} dB: {wall:.4f} s", file=sys.stderr)
+    finally:
+        regimes._gain_pq = kernel
+    return rows
+
+
+def check(rows: list) -> int:
+    committed = {}
+    lines = COMMITTED.read_text(encoding="utf-8").splitlines()
+    for line in lines[lines.index(HEADER) + 1:]:
+        tau_db, bits = line.split(",")[:2]
+        committed[tau_db] = float.fromhex(bits)
+    failures = 0
+    for row in rows:
+        tau_db, bits = row.split(",")[:2]
+        value = float.fromhex(bits)
+        if tau_db not in committed:
+            print(f"{tau_db} dB: not in {COMMITTED.name}", file=sys.stderr)
+            failures += 1
+            continue
+        ulps = abs(value - committed[tau_db]) / math.ulp(committed[tau_db])
+        if ulps > TOL_ULP:
+            print(f"{tau_db} dB: {bits} is {ulps:.0f} ulp from {committed[tau_db].hex()}",
+                  file=sys.stderr)
+            failures += 1
+    print(f"{len(rows) - failures}/{len(rows)} within {TOL_ULP} ulp of {COMMITTED.name}",
+          file=sys.stderr)
+    return 1 if failures else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare with {COMMITTED.name}, allowing {TOL_ULP} ulp")
+    args = parser.parse_args()
+    rows = sweep()
+    print("\n".join([HEADER, *rows]))
+    return check(rows) if args.check else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

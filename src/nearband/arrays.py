@@ -49,11 +49,18 @@ class FresnelRegionWarning(UserWarning):
     quadratic-phase approximation still evaluates but degrades."""
 
 
+# far above any phased array; keeps n_antennas * spacing a finite float and
+# the per-element arrays of gain_fresnel_sum and gain_exact small
+_MAX_ANTENNAS = 1_000_000
+
+
 def _check_count(n_antennas) -> None:
-    """Raise ``ValueError`` unless the element count is a whole number >= 1
-    (a float or numpy integer of integral value counts as one)."""
+    """Raise ``ValueError`` unless the element count is a whole number in
+    [1, 1000000] (a float or numpy integer of integral value counts as one)."""
     if not (n_antennas >= 1 and n_antennas % 1 == 0):
         raise ValueError("n_antennas must be a positive integer")
+    if not n_antennas <= _MAX_ANTENNAS:
+        raise ValueError(f"n_antennas must be <= {_MAX_ANTENNAS}")
 
 
 @dataclass(frozen=True)

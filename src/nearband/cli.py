@@ -34,7 +34,7 @@ from .regimes import (
     product_max,
 )
 from .scenarios import (PRESET_CARRIER_HZ, Scenario, ScenarioError, SweepTable, _key_text,
-                        emit_csv, parse_scenario)
+                        _threshold, emit_csv, parse_scenario)
 from .svgplot import svg_line_chart
 from .verify import format_report, run_verify
 
@@ -141,11 +141,12 @@ def run_bmax_curve(scenario: Scenario) -> tuple[SweepTable, tuple]:
     """Maximum usable bandwidth vs gain threshold for the band presets."""
     if scenario.sweep is None or scenario.sweep.axis != "tau_db":
         raise ScenarioError("sweep.axis: bmax-curve requires a tau_db sweep")
+    # the sweep's ends are its extremes: it reaches 0 dB at sweep.max first
+    # and underflows to a linear 0 at sweep.min first
+    _threshold("sweep.max", scenario.sweep.hi)
+    _threshold("sweep.min", scenario.sweep.lo)
     taus_db = _sweep_values(scenario)
-    try:
-        taus = [ThresholdSpec.from_db(tau_db) for tau_db in taus_db.tolist()]
-    except ValueError:
-        raise ScenarioError("sweep.max: tau_db sweep must stay below 0 dB") from None
+    taus = [ThresholdSpec.from_db(tau_db) for tau_db in taus_db.tolist()]
     meta = _base_metadata(scenario, "bmax-curve")
     meta.append(("presets", "; ".join(
         f"N={n} carrier={fc/1e9:g}GHz" for n, fc in _BMAX_PRESETS)))

@@ -185,61 +185,114 @@ def _check_threshold(tau_linear: float, caller: str) -> None:
 # threshold inversion on the gain surface
 # ---------------------------------------------------------------------------
 
-# The first crossing of each gamma2 column is marched outward in fixed
-# steps of p = gamma1*gamma2, one chunk of steps at a time over the columns
-# still open, then bisected.  product_max searches a log grid of gamma2 and
-# refines the maximizer on shrinking linear brackets.  Near -10 dB the
-# boundary product jumps between nulls and peaks on gamma2 intervals only
-# 0.3% wide; 4096 log points resolve them (2048 miss the peak at 0.1).
+# The first crossing of each gamma2 column is bracketed on the grid
+# p = k * _PRODUCT_STEP of the product gamma1*gamma2: hi is the first grid
+# point whose gain is below tau, lo = hi - _PRODUCT_STEP.  Each round of
+# the march evaluates the next _PRODUCT_CHUNK grid points of every open
+# column.  A bracketed secant (Illinois) then closes each bracket; a round
+# also evaluates the secant point +- _GUARD_ULPS ulp, so it closes the
+# bracket once the estimate is that close, and rounds stop at
+# _FINISH_ULPS ulp or after _FINISH_ROUNDS.
+# Kernel calls (rounds), not points, are the cost.  product_max searches
+# a log grid of gamma2 and refines the maximizer on shrinking linear
+# brackets.  Near -10 dB the boundary product jumps between nulls and
+# peaks on gamma2 intervals only 0.3% wide; 4096 log points resolve them
+# (2048 miss the peak at 0.1).
 _PRODUCT_STEP = 0.01
 _PRODUCT_CHUNK = 32
 _PRODUCT_LIMIT = 64.0
-_BISECT_STEPS = 48
+_FINISH_ROUNDS = 48
+_FINISH_ULPS = 8
+_GUARD_ULPS = 2
 _GAMMA2_FLOOR = 1e-3
 _GAMMA2_POINTS = 4096
 _REFINE_POINTS = 33
 _REFINE_ROUNDS = 5
 
 
-def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False) -> np.ndarray:
-    """First tau-crossing of the product gamma1*gamma2 per gamma2 column.
-
-    Columns whose on-axis gain is already below tau (outside the main-lobe
-    superlevel set) report 0.  Raises ``NoCrossingError`` when a column
-    keeps its gain at or above tau up to the march limit.  With ``prune``,
-    a column whose upper bracket falls below the best lower bracket cannot
-    hold the maximum; it leaves the bisection and reports 0.  Bisection is
-    elementwise, so the maximum and its argmax keep their exact bits.
-    """
-    g2 = np.asarray(gamma2, dtype=float).ravel()
-    hi = np.zeros_like(g2)
-    open_idx = np.flatnonzero(gain_narrowband(g2) >= tau)
+def _march(tau: float, g2: np.ndarray):
+    """Bracket [hi - _PRODUCT_STEP, hi] of each column's first crossing, with
+    G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau."""
+    hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
+    f0 = gain_narrowband(g2) - tau
+    cols = np.flatnonzero(f0 >= 0.0)
+    f_k = f0[cols]
     steps = np.arange(1, _PRODUCT_CHUNK + 1)
     k0 = 0
-    while open_idx.size:
+    while cols.size:
         if k0 * _PRODUCT_STEP >= _PRODUCT_LIMIT:
             raise NoCrossingError(
                 f"gain never crossed below tau={tau!r} for gamma1*gamma2 <= {_PRODUCT_LIMIT!r}"
             )
         p = _PRODUCT_STEP * (k0 + steps)
-        col = g2[open_idx, None]
-        below = _gain_pq(p, col) < tau
+        f = _gain_pq(p, g2[cols, None]) - tau
+        below = f < 0.0
         hit = below.any(axis=1)
-        hi[open_idx[hit]] = p[below[hit].argmax(axis=1)]
-        open_idx = open_idx[~hit]
+        rows = np.flatnonzero(hit)
+        j = below[rows].argmax(axis=1)
+        hi[cols[rows]] = p[j]
+        f_hi[cols[rows]] = f[rows, j]
+        f_lo[cols[rows]] = np.where(j > 0, f[rows, j - 1], f_k[rows])
+        miss = ~hit
+        cols, f_k = cols[miss], f[miss, -1]
         k0 += _PRODUCT_CHUNK
+    return hi, f_lo, f_hi
 
+
+def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False) -> np.ndarray:
+    """First tau-crossing of the product gamma1*gamma2 per gamma2 column.
+
+    Marches each column to its grid bracket (``_march``), then narrows the
+    bracket to 8 ulp (at most 48 rounds) by bracketed secant steps and
+    returns its midpoint.  Columns whose on-axis gain is already below tau
+    (outside the main-lobe superlevel set) report 0.  Raises
+    ``NoCrossingError`` when a column keeps its gain at or above tau up to
+    the march limit.  With ``prune``, a column whose upper bracket falls
+    below the best lower bracket cannot hold the maximum; it leaves the
+    refinement and reports 0.  Each column is refined on its own values,
+    so its result does not depend on which other columns share the call.
+    """
+    g2 = np.asarray(gamma2, dtype=float).ravel()
+    hi, f_lo, f_hi = _march(tau, g2)
     live = np.flatnonzero(hi > 0.0)
-    g2, hi = g2[live], hi[live]
+    g2, hi, f_lo, f_hi = g2[live], hi[live], f_lo[live], f_hi[live]
     lo = hi - _PRODUCT_STEP
-    for _ in range(_BISECT_STEPS):
+    side = np.zeros(live.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
+    for _ in range(_FINISH_ROUNDS):
         if prune:
             keep = hi >= lo.max(initial=0.0)
-            live, g2, lo, hi = live[keep], g2[keep], lo[keep], hi[keep]
-        mid = 0.5 * (lo + hi)
-        below = _gain_pq(mid, g2) < tau
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
+            live, g2, lo, hi, f_lo, f_hi, side = (
+                v[keep] for v in (live, g2, lo, hi, f_lo, f_hi, side))
+        ulp = np.spacing(hi)
+        o = np.flatnonzero(hi - lo > _FINISH_ULPS * ulp)
+        if not o.size:
+            break
+        a, b, fa, fb, d = lo[o], hi[o], f_lo[o], f_hi[o], _GUARD_ULPS * ulp[o]
+        w = b - a
+        # fb < 0 <= fa puts the secant point in [a, b]; the clamp keeps it
+        # and its guards strictly inside
+        x = np.clip(b - fb * w / (fb - fa), a + 2.0 * d, b - 2.0 * d)
+        pts = x[:, None] + d[:, None] * np.array([-1.0, 0.0, 1.0])
+        # G can equal tau exactly over many ulp of p, and at fa == 0 the
+        # secant point is a itself; there three probes step from a by the
+        # width of that band, ulp(tau) / |slope|, or a quarter of the bracket
+        flat = np.flatnonzero(fa == 0.0)
+        if flat.size:
+            q = np.maximum(w[flat] * np.minimum(0.25, np.spacing(tau) / -fb[flat]), d[flat])
+            pts[flat] = a[flat, None] + q[:, None] * np.array([1.0, 2.0, 3.0])
+        # the new bracket: the first point below tau among a, pts, b (b is)
+        # and the point before it
+        pts = np.column_stack((a, pts, b))
+        f = np.column_stack((fa, _gain_pq(pts[:, 1:4], g2[o, None]) - tau, fb))
+        j = (f[:, 1:] < 0.0).argmax(axis=1) + 1
+        r = np.arange(o.size)
+        fa, fb = f[r, j - 1], f[r, j]
+        # Illinois: an endpoint kept twice in a row has its value halved
+        kept = np.where(j == 1, -1, np.where(j == 4, 1, 0)).astype(np.int8)
+        again = kept == side[o]
+        f_lo[o] = np.where(again & (kept == -1), 0.5 * fa, fa)
+        f_hi[o] = np.where(again & (kept == 1), 0.5 * fb, fb)
+        lo[o], hi[o], side[o] = pts[r, j - 1], pts[r, j], kept
     products = np.zeros(np.size(gamma2))
     products[live] = 0.5 * (lo + hi)
     return products.reshape(np.shape(gamma2))

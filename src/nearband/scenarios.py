@@ -37,6 +37,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
+from .arrays import _MAX_ANTENNAS
 from .regimes import ThresholdSpec
 
 __all__ = [
@@ -57,8 +58,6 @@ PRESET_CARRIER_HZ = {"n261": 28e9, "n260": 39e9}
 SWEEP_AXES = ("f_hz", "tau_db")
 # Size caps: every sweep holds its columns, and their CSV bytes, in memory.
 _MAX_SWEEP_POINTS = 10_000
-# far above any phased array; keeps n_antennas * dbar a finite float
-_MAX_ANTENNAS = 1_000_000
 _MAX_TABLE_ROWS = 1_000_000
 
 
@@ -80,6 +79,8 @@ def _threshold(path: str, value, linear: bool = False) -> ThresholdSpec:
     except ValueError:
         rule = ("value must be finite" if not math.isfinite(value) else
                 "linear threshold must lie in (0, 1)" if linear else
+                "too deep: its linear gain 10^(tau_db/10) underflows to 0" if value < 0.0
+                and 10.0 ** (value / 10.0) == 0.0 else
                 "must be negative (a loss threshold)")
         raise ScenarioError(f"{path}: {rule}") from None
 

@@ -72,6 +72,32 @@ def sinc_threshold_root(tau_linear, lo=1e-9, hi=1.0):
         return float(root)
 
 
+def gain_40(gamma1, gamma2):
+    """The gain surface G(gamma1, gamma2) from 40-digit mpmath Fresnel
+    integrals at the exact float arguments, as an mpmath number."""
+    with mpmath.workdps(40):
+        g1, g2 = mpmath.mpf(gamma1), mpmath.mpf(gamma2)
+        c = mpmath.fresnelc(g1 + g2) - mpmath.fresnelc(g1 - g2)
+        s = mpmath.fresnels(g1 + g2) - mpmath.fresnels(g1 - g2)
+        return mpmath.sqrt(c * c + s * s) / (2 * g2)
+
+
+def first_crossing_root(tau_linear, gamma2, lo, hi):
+    """The product p = gamma1*gamma2 in [lo, hi] where G(p / gamma2, gamma2)
+    = tau at 40 digits, rounded to a float; G - tau must change sign on
+    the bracket."""
+    with mpmath.workdps(40):
+        tau, g2 = mpmath.mpf(tau_linear), mpmath.mpf(gamma2)
+
+        def excess(p):
+            return gain_40(p / g2, g2) - tau
+
+        assert excess(mpmath.mpf(lo)) >= 0 > excess(mpmath.mpf(hi))
+        root = mpmath.findroot(excess, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        assert lo <= root <= hi
+        return float(root)
+
+
 def random_fresnel_configs(rng, count, n_choices=(128, 192, 256, 384, 512)):
     """Seeded configurations with >= 4x margin over the Fresnel threshold.
 

@@ -186,6 +186,23 @@ def test_element_counts_must_be_whole():
         ArrayGeometry(8, 0.01, 1e9).aperture_m
 
 
+def test_element_counts_are_bounded(monkeypatch):
+    # 10**400 elements used to be accepted until aperture_m overflowed, and
+    # 10**12 made gain_fresnel_sum allocate terabytes; both must raise first
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated before the count was checked")
+
+    reg = Regime(0.01, 5000.0, 0.5, 32.0, 0.5)
+    monkeypatch.setattr(np, "arange", no_allocation)
+    for bad in (10**6 + 1, 10**12, 10**400, 1e300):
+        with pytest.raises(ValueError, match="n_antennas must be <= 1000000"):
+            ArrayGeometry(bad, 0.01, 1e9)
+        with pytest.raises(ValueError, match="n_antennas must be <= 1000000"):
+            gain_fresnel_sum(reg, bad)
+    monkeypatch.undo()
+    assert ArrayGeometry(10**6, 0.01, 1e9).aperture_m == pytest.approx(1e4)
+
+
 def test_fresnel_sum_warning_outside_region():
     inside = Regime(0.01, 4.0 * 32.0**1.5, 0.5, 32.0, 0.3)
     with warnings.catch_warnings():

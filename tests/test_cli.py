@@ -281,6 +281,19 @@ def test_threshold_rounding_to_0_db_is_a_usage_error(tmp_path, scenario_file, ca
     assert "nearband: scenario.tau_db: must be negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sweep.min", "-4000", "sweep.min: too deep: its linear gain"),
+    ("sweep.max", "0", "sweep.max: must be negative"),
+])
+def test_bmax_curve_names_the_sweep_end_that_broke(tmp_path, scenario_file, capsys,
+                                                   key, value, message):
+    # a tau_db sweep underflows to a linear 0 at its deep end, sweep.min
+    out = tmp_path / "b.csv"
+    assert main(["bmax-curve", "--scenario", str(scenario_file(TAU_SWEEP)), "--out", str(out),
+                 "--set", f"{key}={value}"]) == EXIT_USAGE
+    assert f"nearband: {message}" in capsys.readouterr().err
+
+
 def test_oversized_n_antennas_is_a_usage_error(tmp_path, scenario_file, capsys):
     # n_antennas * dbar must stay a finite float in band-map
     out = tmp_path / "b.csv"

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import nearband.regimes as regimes_mod
 from nearband.constants import SPEED_OF_LIGHT_M_S as C
-from nearband.fresnel import GammaPair, gain_closed_form
+from nearband.fresnel import GammaPair, _gain_pq, gain_closed_form, gain_narrowband
 from nearband.regimes import (
     NoCrossingError,
     Regime,
@@ -26,7 +27,7 @@ from nearband.regimes import (
     rbar_from_gamma,
 )
 
-from _oracles import sinc_threshold_root
+from _oracles import first_crossing_root, gain_40, sinc_threshold_root
 
 
 def _db(db):
@@ -173,14 +174,29 @@ def test_product_max_reference_constants():
 # Exact bits of the solver's results; a change that moves any of them
 # changes the numerics, not just the speed.  Above -2.81 dB they are the
 # far-field root, each within 1.8e-16 relative of a 40-digit mpmath root.
+# At -3 dB the value is a first crossing at the column _MINUS_3_DB_GAMMA2,
+# held to its 40-digit root by test_product_max_minus_3_db_against_reference.
 @pytest.mark.parametrize("tau_db, bits", [
     (-0.2, "0x1.5517768e70b4bp-3"),
     (-1.0, "0x1.763cd4fa4b5c7p-2"),
     (-2.0, "0x1.0245b72068da4p-1"),
-    (-3.0, "0x1.398ad0b3b6140p-1"),
+    (-3.0, "0x1.398ad0b3b6141p-1"),
 ])
 def test_product_max_bits_pinned(tau_db, bits):
     assert product_max(_db(tau_db)) == float.fromhex(bits)
+
+
+# the gamma2 column whose first crossing is product_max at -3 dB
+_MINUS_3_DB_GAMMA2 = float.fromhex("0x1.4062879540d6bp+0")
+
+
+def test_product_max_minus_3_db_against_reference():
+    tau = _db(-3.0)
+    value = product_max(tau)
+    assert regimes_mod._first_crossing_products(tau, np.array([_MINUS_3_DB_GAMMA2]))[0] == value
+    root = first_crossing_root(tau, _MINUS_3_DB_GAMMA2, value - 1e-9, value + 1e-9)
+    assert abs(value - root) <= 4 * math.ulp(root)
+
 
 def test_product_max_against_sinc_oracle():
     # the boundary product approaches the far-field squint root as gamma2 -> 0;
@@ -430,3 +446,74 @@ def test_no_crossing_error_raised(monkeypatch):
         regimes_mod._first_crossing_products(1e-9, np.array([0.5]))
     with pytest.raises(NoCrossingError):
         product_max.__wrapped__(_db(-3.0))
+
+
+# ---------------------------------------------------------------------------
+# the first-crossing solver
+# ---------------------------------------------------------------------------
+
+README_GAMMA2 = np.geomspace(1e-3, 6.0, 512)  # the contours subcommand's grid
+
+
+def _fixed_step_march(tau, g2):
+    """First grid point k * 0.01 with gain below tau per column, every grid
+    point evaluated; 0 for columns whose on-axis gain is already below."""
+    hi = np.zeros_like(g2)
+    open_idx = np.flatnonzero(gain_narrowband(g2) >= tau)
+    k0 = 0
+    while open_idx.size:
+        p = 0.01 * (k0 + np.arange(1, 65))
+        below = _gain_pq(p, g2[open_idx, None]) < tau
+        hit = below.any(axis=1)
+        hi[open_idx[hit]] = p[below[hit].argmax(axis=1)]
+        open_idx = open_idx[~hit]
+        k0 += 64
+    return hi
+
+
+@pytest.mark.parametrize("tau_db", [-0.2, -1.0, -3.0, -6.0, -10.0])
+def test_march_brackets_equal_a_fixed_step_march(tau_db):
+    # the march, 32 grid points per chunk, must find the bracket
+    # [hi - 0.01, hi] a march over every point in chunks of 64 finds
+    tau = _db(tau_db)
+    for g2 in (README_GAMMA2, np.geomspace(1e-3, 1.0 / tau, 256)):
+        hi = regimes_mod._march(tau, g2)[0]
+        assert np.array_equal(hi, _fixed_step_march(tau, g2))
+
+
+@pytest.mark.parametrize("tau_db", [-0.2, -2.0, -3.0, -10.0])
+@pytest.mark.parametrize("prune", [False, True])
+def test_every_product_lies_in_its_bracket(tau_db, prune):
+    tau = _db(tau_db)
+    g2 = np.geomspace(1e-3, 1.0 / tau, 256)
+    hi = regimes_mod._march(tau, g2)[0]
+    products = regimes_mod._first_crossing_products(tau, g2, prune=prune)
+    solved = products > 0.0
+    if not prune:
+        assert np.array_equal(solved, hi > 0.0)
+    assert (products[solved] >= hi[solved] - 0.01).all()
+    assert (products[solved] <= hi[solved]).all()
+
+
+@pytest.mark.parametrize("tau_db", [-0.2, -1.0, -2.0])
+def test_main_lobe_boundary_against_40_digit_gain(tau_db):
+    tau = _db(tau_db)
+    g2 = README_GAMMA2[::16]
+    g1 = main_lobe_boundary(tau, g2)
+    inside = np.flatnonzero(np.isfinite(g1))
+    assert inside.size >= 20
+    residual = max(abs(float(gain_40(g1[i], g2[i]) - tau)) for i in inside)
+    assert residual <= 2e-15
+
+
+def test_solver_rounds(monkeypatch):
+    # kernel calls, not points, are the solver's cost
+    calls = []
+    kernel = regimes_mod._gain_pq
+    monkeypatch.setattr(regimes_mod, "_gain_pq", lambda p, g2: calls.append(1) or kernel(p, g2))
+    for tau_db in (-0.2, -1.0, -2.0):
+        main_lobe_boundary(_db(tau_db), README_GAMMA2)
+    assert len(calls) <= 60
+    calls.clear()
+    product_max.__wrapped__(_db(-3.0))
+    assert len(calls) <= 80

@@ -57,6 +57,9 @@ def test_n261_preset_carrier():
     (lambda d: d.replace("tau_db = -1", "tau_db = 0.3"), "negative"),
     # negative, but 10**(-1e-18) rounds to a linear gain of 1.0
     (lambda d: d.replace("tau_db = -1", "tau_db = -1e-17"), "scenario.tau_db: must be negative"),
+    # negative, but 10**(-400) underflows to a linear gain of 0
+    (lambda d: d.replace("tau_db = -1", "tau_db = -4000"),
+     "scenario.tau_db: too deep: its linear gain .* underflows to 0"),
     (lambda d: d.replace("tau_db = -1", "tau_db = lots"), "expected a number"),
     (lambda d: d.replace("n_antennas = 64", "n_antennas = 0"), ">= 1"),
     (lambda d: d.replace("n_antennas = 64", ""), "required key is missing"),
