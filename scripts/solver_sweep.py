@@ -8,10 +8,11 @@ as CSV on stdout, and the wall time of each cold solve on stderr.
     python scripts/solver_sweep.py --check                      # compare with it
 
 ``--check`` exits 1 when a value differs from scripts/solver_sweep.csv by
-more than 4 ulp or a threshold is missing.  Rounds are recorded, not
-compared: an ulp of difference in the kernel on another platform can
-move the secant finish by a round.  Needs the nearband package
-importable (``pip install .`` or ``PYTHONPATH=src``).
+more than 4 ulp, a threshold is missing, or a solve takes more rounds
+than the committed count plus max(2, 10 %) of it.  Fewer rounds pass, and
+the slack allows for an ulp of difference in the kernel on another
+platform, which can move the secant finish by a round.  Needs the
+nearband package importable (``pip install .`` or ``PYTHONPATH=src``).
 """
 
 import argparse
@@ -57,30 +58,34 @@ def check(rows: list) -> int:
     committed = {}
     lines = COMMITTED.read_text(encoding="utf-8").splitlines()
     for line in lines[lines.index(HEADER) + 1:]:
-        tau_db, bits = line.split(",")[:2]
-        committed[tau_db] = float.fromhex(bits)
+        tau_db, bits, _, rounds = line.split(",")
+        committed[tau_db] = float.fromhex(bits), int(rounds)
     failures = 0
     for row in rows:
-        tau_db, bits = row.split(",")[:2]
+        tau_db, bits, _, rounds = row.split(",")
         value = float.fromhex(bits)
         if tau_db not in committed:
             print(f"{tau_db} dB: not in {COMMITTED.name}", file=sys.stderr)
             failures += 1
             continue
-        ulps = abs(value - committed[tau_db]) / math.ulp(committed[tau_db])
+        want, want_rounds = committed[tau_db]
+        ulps = abs(value - want) / math.ulp(want)
         if ulps > TOL_ULP:
-            print(f"{tau_db} dB: {bits} is {ulps:.0f} ulp from {committed[tau_db].hex()}",
-                  file=sys.stderr)
+            print(f"{tau_db} dB: {bits} is {ulps:.0f} ulp from {want.hex()}", file=sys.stderr)
             failures += 1
-    print(f"{len(rows) - failures}/{len(rows)} within {TOL_ULP} ulp of {COMMITTED.name}",
-          file=sys.stderr)
+        elif int(rounds) > want_rounds + max(2, 0.1 * want_rounds):
+            print(f"{tau_db} dB: {rounds} rounds, committed {want_rounds}", file=sys.stderr)
+            failures += 1
+    print(f"{len(rows) - failures}/{len(rows)} within {TOL_ULP} ulp and the rounds of "
+          f"{COMMITTED.name}", file=sys.stderr)
     return 1 if failures else 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help=f"compare with {COMMITTED.name}, allowing {TOL_ULP} ulp")
+                        help=f"compare with {COMMITTED.name}, allowing {TOL_ULP} ulp "
+                             "and max(2, 10%%) more rounds")
     args = parser.parse_args()
     rows = sweep()
     print("\n".join([HEADER, *rows]))

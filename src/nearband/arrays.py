@@ -58,7 +58,7 @@ def _check_count(n_antennas) -> None:
     """Raise ``ValueError`` unless the element count is a whole number in
     [1, 1000000] (a float or numpy integer of integral value counts as one)."""
     if not (n_antennas >= 1 and n_antennas % 1 == 0):
-        raise ValueError("n_antennas must be a positive integer")
+        raise ValueError("n_antennas must be >= 1 and a whole number")
     if not n_antennas <= _MAX_ANTENNAS:
         raise ValueError(f"n_antennas must be <= {_MAX_ANTENNAS}")
 

@@ -125,13 +125,15 @@ def fbar_from_gamma(pair: GammaPair, lbar: float, theta_rad: float) -> float:
     """Recover the normalized frequency: fbar = -gamma1*gamma2 / (lbar sin theta).
 
     Singular at broadside (gamma1 is identically zero there, so fbar cannot
-    be recovered); raises ``ValueError`` for theta = 0.
+    be recovered); raises ``ValueError`` for theta = 0, and naming the
+    argument unless gamma1, gamma2 are finite, lbar > 0 and |theta| < pi/2.
     """
+    _check_finite(gamma1=pair.gamma1, gamma2=pair.gamma2)
+    _check_positive(lbar=lbar)
+    _check_angle(theta_rad)
     sin_t = math.sin(theta_rad)
     if sin_t == 0.0:
         raise ValueError("fbar is not recoverable at broadside (sin theta = 0)")
-    if lbar <= 0.0:
-        raise ValueError("lbar must be positive")
     return -pair.gamma1 * pair.gamma2 / (lbar * sin_t)
 
 
@@ -188,13 +190,14 @@ def _check_threshold(tau_linear: float, caller: str) -> None:
 # The first crossing of each gamma2 column is bracketed on the grid
 # p = k * _PRODUCT_STEP of the product gamma1*gamma2: hi is the first grid
 # point whose gain is below tau, lo = hi - _PRODUCT_STEP.  Each round of
-# the march evaluates the next _PRODUCT_CHUNK grid points of every open
-# column.  A bracketed secant (Illinois) then closes each bracket; a round
-# also evaluates the secant point +- _GUARD_ULPS ulp, so it closes the
-# bracket once the estimate is that close, and rounds stop at
-# _FINISH_ULPS ulp or after _FINISH_ROUNDS.
+# the march (_march) evaluates the next _PRODUCT_CHUNK grid points of
+# every open column.  A bracketed secant (Illinois, _finish) then closes
+# each bracket; a round also evaluates the secant point +- _GUARD_ULPS ulp,
+# so it closes the bracket once the estimate is that close, and rounds
+# stop at _FINISH_ULPS ulp or after _FINISH_ROUNDS.
 # Kernel calls (rounds), not points, are the cost.  product_max searches
-# a log grid of gamma2 and refines the maximizer on shrinking linear
+# a log grid of gamma2, finishes only the columns whose hi is the largest
+# (the top grid level) and refines the maximizer on shrinking linear
 # brackets.  Near -10 dB the boundary product jumps between nulls and
 # peaks on gamma2 intervals only 0.3% wide; 4096 log points resolve them
 # (2048 miss the peak at 0.1).
@@ -212,7 +215,9 @@ _REFINE_ROUNDS = 5
 
 def _march(tau: float, g2: np.ndarray):
     """Bracket [hi - _PRODUCT_STEP, hi] of each column's first crossing, with
-    G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau."""
+    G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau.
+    Raises ``NoCrossingError`` when a column keeps its gain at or above tau
+    up to the march limit."""
     hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
     f0 = gain_narrowband(g2) - tau
     cols = np.flatnonzero(f0 >= 0.0)
@@ -239,30 +244,14 @@ def _march(tau: float, g2: np.ndarray):
     return hi, f_lo, f_hi
 
 
-def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False) -> np.ndarray:
-    """First tau-crossing of the product gamma1*gamma2 per gamma2 column.
-
-    Marches each column to its grid bracket (``_march``), then narrows the
-    bracket to 8 ulp (at most 48 rounds) by bracketed secant steps and
-    returns its midpoint.  Columns whose on-axis gain is already below tau
-    (outside the main-lobe superlevel set) report 0.  Raises
-    ``NoCrossingError`` when a column keeps its gain at or above tau up to
-    the march limit.  With ``prune``, a column whose upper bracket falls
-    below the best lower bracket cannot hold the maximum; it leaves the
-    refinement and reports 0.  Each column is refined on its own values,
-    so its result does not depend on which other columns share the call.
-    """
-    g2 = np.asarray(gamma2, dtype=float).ravel()
-    hi, f_lo, f_hi = _march(tau, g2)
-    live = np.flatnonzero(hi > 0.0)
-    g2, hi, f_lo, f_hi = g2[live], hi[live], f_lo[live], f_hi[live]
-    lo = hi - _PRODUCT_STEP
-    side = np.zeros(live.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
+def _finish(tau: float, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
+    """Midpoint of each bracket [hi - _PRODUCT_STEP, hi] from ``_march``,
+    narrowed to 8 ulp (at most 48 rounds) by bracketed secant steps.  Each
+    column is refined on its own values, so its result does not depend on
+    which other columns share the call."""
+    lo, hi, f_lo, f_hi = hi - _PRODUCT_STEP, hi.copy(), f_lo.copy(), f_hi.copy()
+    side = np.zeros(hi.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
     for _ in range(_FINISH_ROUNDS):
-        if prune:
-            keep = hi >= lo.max(initial=0.0)
-            live, g2, lo, hi, f_lo, f_hi, side = (
-                v[keep] for v in (live, g2, lo, hi, f_lo, f_hi, side))
         ulp = np.spacing(hi)
         o = np.flatnonzero(hi - lo > _FINISH_ULPS * ulp)
         if not o.size:
@@ -293,9 +282,7 @@ def _first_crossing_products(tau: float, gamma2: np.ndarray, prune: bool = False
         f_lo[o] = np.where(again & (kept == -1), 0.5 * fa, fa)
         f_hi[o] = np.where(again & (kept == 1), 0.5 * fb, fb)
         lo[o], hi[o], side[o] = pts[r, j - 1], pts[r, j], kept
-    products = np.zeros(np.size(gamma2))
-    products[live] = 0.5 * (lo + hi)
-    return products.reshape(np.shape(gamma2))
+    return 0.5 * (lo + hi)
 
 
 def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
@@ -306,11 +293,12 @@ def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
     """
     _check_threshold(tau_linear, "main_lobe_boundary")
     g2 = np.asarray(gamma2, dtype=float)
-    products = _first_crossing_products(tau_linear, g2)
-    out = np.full_like(g2, np.nan)
-    live = products > 0.0
-    out[live] = products[live] / g2[live]
-    return out
+    hi, f_lo, f_hi = _march(tau_linear, g2.ravel())
+    live = np.flatnonzero(hi > 0.0)
+    cols = g2.ravel()[live]
+    out = np.full(g2.size, np.nan)
+    out[live] = _finish(tau_linear, cols, hi[live], f_lo[live], f_hi[live]) / cols
+    return out.reshape(g2.shape)
 
 
 # x - sin(x) = x^3 * sum_k (-x^2)^k / (2k+3)!, summed to below one ulp for
@@ -378,7 +366,12 @@ def product_max(tau_linear: float) -> float:
         return p_ff
     best = 0.0
     for _ in range(_REFINE_ROUNDS + 1):
-        products = _first_crossing_products(tau_linear, g2, prune=True)
+        # a column one grid level below the top crosses before the top
+        # level's lower bracket end, so only the top level can hold the maximum
+        hi, f_lo, f_hi = _march(tau_linear, g2)
+        top = np.flatnonzero((hi == hi.max()) & (hi > 0.0))
+        products = np.zeros_like(g2)
+        products[top] = _finish(tau_linear, g2[top], hi[top], f_lo[top], f_hi[top])
         i = int(products.argmax())
         best = max(best, float(products[i]))
         g2 = np.linspace(g2[max(i - 1, 0)], g2[min(i + 1, g2.size - 1)], _REFINE_POINTS)
@@ -444,7 +437,7 @@ def band_distance(
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
     r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
-    r_hi = 1e6 * _fraunhofer_distance(lbar, lam)
+    r_hi = 1e6 * fraunhofer_distance(lbar, lam)
 
     p = abs(fbar * lbar * math.sin(theta_rad))
 
@@ -486,11 +479,7 @@ def fraunhofer_distance(lbar: float, wavelength_m: float) -> float:
     """Classical far-field boundary 2 * lbar^2 * lambda_c (= 2 L^2 / lambda).
     Raises ``ValueError`` unless lbar and wavelength_m are positive and finite."""
     _check_positive(lbar=lbar, wavelength_m=wavelength_m)
-    return _fraunhofer_distance(lbar, wavelength_m)
-
-
-def _fraunhofer_distance(lbar: float, wavelength: float) -> float:
-    return 2.0 * lbar * lbar * wavelength  # unchecked, for band_distance
+    return 2.0 * lbar * lbar * wavelength_m
 
 
 def _fresnel_distance(aperture: float, wavelength: float) -> float:

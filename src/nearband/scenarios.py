@@ -37,7 +37,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .arrays import _MAX_ANTENNAS
+from .arrays import _check_count
 from .regimes import ThresholdSpec
 
 __all__ = [
@@ -79,9 +79,10 @@ def _threshold(path: str, value, linear: bool = False) -> ThresholdSpec:
     except ValueError:
         rule = ("value must be finite" if not math.isfinite(value) else
                 "linear threshold must lie in (0, 1)" if linear else
-                "too deep: its linear gain 10^(tau_db/10) underflows to 0" if value < 0.0
-                and 10.0 ** (value / 10.0) == 0.0 else
-                "must be negative (a loss threshold)")
+                "must be negative (a loss threshold)" if not value < 0.0 else
+                "too deep: its linear gain 10^(tau_db/10) underflows to 0"
+                if 10.0 ** (value / 10.0) == 0.0 else
+                "too shallow: its linear gain 10^(tau_db/10) rounds to 1")
         raise ScenarioError(f"{path}: {rule}") from None
 
 
@@ -202,10 +203,11 @@ class Scenario:
         _check_finite(self, "scenario")
         if self.carrier_hz <= 0:
             raise ScenarioError("scenario.carrier_hz: must be positive")
-        if self.n_antennas < 1:
-            raise ScenarioError("scenario.n_antennas: must be >= 1")
-        if self.n_antennas > _MAX_ANTENNAS:
-            raise ScenarioError(f"scenario.n_antennas: must be <= {_MAX_ANTENNAS}")
+        try:
+            _check_count(self.n_antennas)
+        except ValueError as err:
+            rule = str(err).removeprefix("n_antennas ")
+            raise ScenarioError(f"scenario.n_antennas: {rule}") from None
         object.__setattr__(self, "tau_db", _threshold("scenario.tau_db", self.tau_db))
         object.__setattr__(self, "tau_list_db", tuple(
             _threshold("scenario.tau_list_db", t) for t in self.tau_list_db))

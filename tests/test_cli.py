@@ -278,12 +278,13 @@ def test_threshold_rounding_to_0_db_is_a_usage_error(tmp_path, scenario_file, ca
     out = tmp_path / "c.csv"
     assert main(["contours", "--scenario", str(scenario_file(MINIMAL)), "--out", str(out),
                  "--set", "tau_db=-1e-17"]) == EXIT_USAGE
-    assert "nearband: scenario.tau_db: must be negative" in capsys.readouterr().err
+    assert "nearband: scenario.tau_db: too shallow: its linear gain" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("sweep.min", "-4000", "sweep.min: too deep: its linear gain"),
     ("sweep.max", "0", "sweep.max: must be negative"),
+    ("sweep.max", "-1e-17", "sweep.max: too shallow: its linear gain"),
 ])
 def test_bmax_curve_names_the_sweep_end_that_broke(tmp_path, scenario_file, capsys,
                                                    key, value, message):

@@ -141,6 +141,15 @@ def test_regime_rejects_non_finite(field, bad):
     pytest.param(rbar_from_gamma, (0.0, math.inf, 32.0, 0.0), "gamma2", id="rbar-gamma2"),
     pytest.param(rbar_from_gamma, (0.0, 0.0, -32.0, 0.0), "lbar", id="rbar-lbar"),
     pytest.param(rbar_from_gamma, (0.0, 0.5, 32.0, -2.0), "theta_rad", id="rbar-theta_rad"),
+    pytest.param(fbar_from_gamma, (GammaPair(math.inf, 0.5), 32.0, 0.5), "gamma1",
+                 id="fbar-gamma1"),
+    pytest.param(fbar_from_gamma, (GammaPair(1.0, math.nan), 32.0, 0.5), "gamma2",
+                 id="fbar-gamma2"),
+    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), math.nan, 0.5), "lbar", id="fbar-lbar"),
+    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), -32.0, 0.5), "lbar",
+                 id="fbar-lbar-negative"),
+    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), 32.0, math.inf), "theta_rad",
+                 id="fbar-theta_rad"),
 ])
 def test_threshold_inversions_reject_non_finite(fn, args, name):
     with pytest.raises(ValueError, match=name):
@@ -193,7 +202,7 @@ _MINUS_3_DB_GAMMA2 = float.fromhex("0x1.4062879540d6bp+0")
 def test_product_max_minus_3_db_against_reference():
     tau = _db(-3.0)
     value = product_max(tau)
-    assert regimes_mod._first_crossing_products(tau, np.array([_MINUS_3_DB_GAMMA2]))[0] == value
+    assert _products(tau, np.array([_MINUS_3_DB_GAMMA2]))[0] == value
     root = first_crossing_root(tau, _MINUS_3_DB_GAMMA2, value - 1e-9, value + 1e-9)
     assert abs(value - root) <= 4 * math.ulp(root)
 
@@ -443,7 +452,7 @@ def test_no_crossing_error_raised(monkeypatch):
     limit = regimes_mod._PRODUCT_STEP * regimes_mod._PRODUCT_CHUNK
     monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", limit)
     with pytest.raises(NoCrossingError):
-        regimes_mod._first_crossing_products(1e-9, np.array([0.5]))
+        regimes_mod._march(1e-9, np.array([0.5]))
     with pytest.raises(NoCrossingError):
         product_max.__wrapped__(_db(-3.0))
 
@@ -453,6 +462,16 @@ def test_no_crossing_error_raised(monkeypatch):
 # ---------------------------------------------------------------------------
 
 README_GAMMA2 = np.geomspace(1e-3, 6.0, 512)  # the contours subcommand's grid
+
+
+def _products(tau, g2):
+    """First-crossing product of every column (0 outside the region): the
+    march, then the finish on every live column."""
+    hi, f_lo, f_hi = regimes_mod._march(tau, g2)
+    live = hi > 0.0
+    products = np.zeros_like(g2)
+    products[live] = regimes_mod._finish(tau, g2[live], hi[live], f_lo[live], f_hi[live])
+    return products
 
 
 def _fixed_step_march(tau, g2):
@@ -482,17 +501,29 @@ def test_march_brackets_equal_a_fixed_step_march(tau_db):
 
 
 @pytest.mark.parametrize("tau_db", [-0.2, -2.0, -3.0, -10.0])
-@pytest.mark.parametrize("prune", [False, True])
-def test_every_product_lies_in_its_bracket(tau_db, prune):
+def test_every_product_lies_in_its_bracket(tau_db):
     tau = _db(tau_db)
     g2 = np.geomspace(1e-3, 1.0 / tau, 256)
     hi = regimes_mod._march(tau, g2)[0]
-    products = regimes_mod._first_crossing_products(tau, g2, prune=prune)
+    products = _products(tau, g2)
     solved = products > 0.0
-    if not prune:
-        assert np.array_equal(solved, hi > 0.0)
+    assert np.array_equal(solved, hi > 0.0)
     assert (products[solved] >= hi[solved] - 0.01).all()
     assert (products[solved] <= hi[solved]).all()
+
+
+@pytest.mark.parametrize("tau_db", [-3.0, -6.0, -10.0])
+def test_product_max_candidates_are_the_top_grid_level(tau_db):
+    # on product_max's 4096-column grid, finishing every live column gives
+    # the maximum, and the column holding it, that the top level alone gives
+    tau = _db(tau_db)
+    g2 = np.geomspace(regimes_mod._GAMMA2_FLOOR, 1.0 / tau, regimes_mod._GAMMA2_POINTS)
+    hi, f_lo, f_hi = regimes_mod._march(tau, g2)
+    products = _products(tau, g2)
+    top = np.flatnonzero(hi == hi.max())
+    finished = regimes_mod._finish(tau, g2[top], hi[top], f_lo[top], f_hi[top])
+    assert products.max() == finished.max()
+    assert products.argmax() == top[finished.argmax()]
 
 
 @pytest.mark.parametrize("tau_db", [-0.2, -1.0, -2.0])

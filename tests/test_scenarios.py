@@ -56,7 +56,8 @@ def test_n261_preset_carrier():
     (lambda d: d.replace("schema_version = 1", "schema_version = 7"), "unsupported version"),
     (lambda d: d.replace("tau_db = -1", "tau_db = 0.3"), "negative"),
     # negative, but 10**(-1e-18) rounds to a linear gain of 1.0
-    (lambda d: d.replace("tau_db = -1", "tau_db = -1e-17"), "scenario.tau_db: must be negative"),
+    (lambda d: d.replace("tau_db = -1", "tau_db = -1e-17"),
+     "scenario.tau_db: too shallow: its linear gain .* rounds to 1"),
     # negative, but 10**(-400) underflows to a linear gain of 0
     (lambda d: d.replace("tau_db = -1", "tau_db = -4000"),
      "scenario.tau_db: too deep: its linear gain .* underflows to 0"),
@@ -102,6 +103,7 @@ def test_rejections(mutation, fragment):
     (lambda: Scenario(30e9, 64, -1.0, "n260"), "scenario.carrier_hz: conflicts with preset 'n260'"),
     (lambda: Scenario(39e9, 0, -1.0, "n260"), "scenario.n_antennas: must be >= 1"),
     (lambda: Scenario(39e9, 10**6 + 1, -1.0, "n260"), "scenario.n_antennas: must be <= 1000000"),
+    (lambda: Scenario(28e9, 64.5, -1.0, "n261"), "scenario.n_antennas: must be >= 1 and a whole"),
     (lambda: Scenario(39e9, 64, 3.0, "n260"), "scenario.tau_db: must be negative"),
     (lambda: Scenario(39e9, 64, -1.0, "n260", tau_list_db=(-1.0, 0.5)),
      "scenario.tau_list_db: must be negative"),
