@@ -501,13 +501,23 @@ def test_march_brackets_equal_a_fixed_step_march(tau_db):
 
 
 @pytest.mark.parametrize("tau_db", [-0.2, -2.0, -3.0, -10.0])
-def test_every_product_lies_in_its_bracket(tau_db):
+@pytest.mark.parametrize("top_only", [False, True])
+def test_every_product_lies_in_its_bracket(tau_db, top_only):
+    # top_only finishes, as product_max does, only the live columns on the
+    # top grid level; otherwise every live column is finished
     tau = _db(tau_db)
     g2 = np.geomspace(1e-3, 1.0 / tau, 256)
-    hi = regimes_mod._march(tau, g2)[0]
-    products = _products(tau, g2)
+    hi, f_lo, f_hi = regimes_mod._march(tau, g2)
+    if top_only:
+        finish = (hi == hi.max()) & (hi > 0.0)
+        products = np.zeros_like(g2)
+        products[finish] = regimes_mod._finish(tau, g2[finish], hi[finish], f_lo[finish],
+                                               f_hi[finish])
+    else:
+        finish = hi > 0.0
+        products = _products(tau, g2)
     solved = products > 0.0
-    assert np.array_equal(solved, hi > 0.0)
+    assert np.array_equal(solved, finish)
     assert (products[solved] >= hi[solved] - 0.01).all()
     assert (products[solved] <= hi[solved]).all()
 
