@@ -150,6 +150,15 @@ def test_regime_rejects_non_finite(field, bad):
                  id="fbar-lbar-negative"),
     pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), 32.0, math.inf), "theta_rad",
                  id="fbar-theta_rad"),
+    # the gain kernel's own errors name gamma2 too, so these match the message
+    pytest.param(main_lobe_boundary, (0.8, np.array([0.5, 0.0])), "gamma2 must be positive",
+                 id="boundary-gamma2-zero"),
+    pytest.param(main_lobe_boundary, (0.8, np.array([-0.5])), "gamma2 must be positive",
+                 id="boundary-gamma2-negative"),
+    pytest.param(main_lobe_boundary, (0.8, np.array([0.5, math.nan])), "gamma2 must be positive",
+                 id="boundary-gamma2-nan"),
+    pytest.param(main_lobe_boundary, (0.8, np.array([math.inf])), "gamma2 must be positive",
+                 id="boundary-gamma2-inf"),
 ])
 def test_threshold_inversions_reject_non_finite(fn, args, name):
     with pytest.raises(ValueError, match=name):
@@ -445,14 +454,21 @@ def test_fraunhofer_distance_values():
 
 
 def test_no_crossing_error_raised(monkeypatch):
-    # cap the march at its first chunk; a threshold below every null depth
-    # then has no crossing to find, and product_max must raise rather than
-    # return a value clipped by the limit
-    import nearband.regimes as regimes_mod
+    # cap the march at p = 3, short of where its doubled chunks would end;
+    # a threshold below every null depth then has no crossing to find, and
+    # the march must raise without evaluating a grid point past the cap
+    largest = []
+    kernel = regimes_mod._gain_pq
+    monkeypatch.setattr(regimes_mod, "_gain_pq",
+                        lambda p, g2: largest.append(np.max(p)) or kernel(p, g2))
+    monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", 3.0)
+    with pytest.raises(NoCrossingError):
+        regimes_mod._march(1e-9, np.array([0.5, 2.0]))
+    assert max(largest) == 3.0
+    # capped at its first chunk, product_max must raise rather than return
+    # a value clipped by the limit
     limit = regimes_mod._PRODUCT_STEP * regimes_mod._PRODUCT_CHUNK
     monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", limit)
-    with pytest.raises(NoCrossingError):
-        regimes_mod._march(1e-9, np.array([0.5]))
     with pytest.raises(NoCrossingError):
         product_max.__wrapped__(_db(-3.0))
 
@@ -475,29 +491,70 @@ def _products(tau, g2):
 
 
 def _fixed_step_march(tau, g2):
-    """First grid point k * 0.01 with gain below tau per column, every grid
-    point evaluated; 0 for columns whose on-axis gain is already below."""
-    hi = np.zeros_like(g2)
+    """First grid point k * 0.01 with gain below tau per column, and G - tau
+    there and one point before, every grid point evaluated; 0 for columns
+    whose on-axis gain is already below."""
+    hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
     open_idx = np.flatnonzero(gain_narrowband(g2) >= tau)
     k0 = 0
     while open_idx.size:
-        p = 0.01 * (k0 + np.arange(1, 65))
-        below = _gain_pq(p, g2[open_idx, None]) < tau
-        hit = below.any(axis=1)
-        hi[open_idx[hit]] = p[below[hit].argmax(axis=1)]
-        open_idx = open_idx[~hit]
+        p = 0.01 * (k0 + np.arange(0, 65))
+        f = _gain_pq(p, g2[open_idx, None]) - tau
+        below = f[:, 1:] < 0.0
+        hit = np.flatnonzero(below.any(axis=1))
+        j = below[hit].argmax(axis=1) + 1
+        hi[open_idx[hit]], f_lo[open_idx[hit]], f_hi[open_idx[hit]] = (
+            p[j], f[hit, j - 1], f[hit, j])
+        open_idx = np.delete(open_idx, hit)
         k0 += 64
-    return hi
+    return hi, f_lo, f_hi
 
 
 @pytest.mark.parametrize("tau_db", [-0.2, -1.0, -3.0, -6.0, -10.0])
 def test_march_brackets_equal_a_fixed_step_march(tau_db):
-    # the march, 32 grid points per chunk, must find the bracket
-    # [hi - 0.01, hi] a march over every point in chunks of 64 finds
+    # the march, which skips the grid points the gain bound certifies and
+    # grows its chunk, must find the bracket [hi - 0.01, hi], with G - tau
+    # at both ends, that a march over every point in chunks of 64 finds
     tau = _db(tau_db)
     for g2 in (README_GAMMA2, np.geomspace(1e-3, 1.0 / tau, 256)):
-        hi = regimes_mod._march(tau, g2)[0]
-        assert np.array_equal(hi, _fixed_step_march(tau, g2))
+        march = regimes_mod._march(tau, g2)
+        for got, want in zip(march, _fixed_step_march(tau, g2)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("gamma2", [1e-3, 0.1, 1.0, 10.0])
+def test_march_skips_hold_under_the_kernel_error_bound(monkeypatch, gamma2):
+    # a gain falling at the largest slope, pi/2, that the kernel reads high
+    # by its error bound sqrt(2)*1e-9/gamma2 on axis and low on the grid:
+    # the grid values fall below tau just before p = 0.51, and a margin
+    # below twice that bound would certify grid point 51 and skip it
+    tau, err = 0.1, math.sqrt(2.0) * 1e-9 / gamma2
+    crossing = 0.51 - 0.5 * err
+    top = tau + 0.5 * math.pi * crossing + err
+
+    def kernel(p, g2):
+        return top - 0.5 * math.pi * np.asarray(p) - err + 0.0 * np.asarray(g2)
+
+    monkeypatch.setattr(regimes_mod, "_gain_pq", kernel)
+    f0 = np.array([top + err - tau])
+    hi, f_lo, f_hi = regimes_mod._march(tau, np.array([gamma2]), f0)
+    assert hi[0] == 0.01 * 51
+    assert f_lo[0] == kernel(0.01 * 50, gamma2) - tau >= 0.0
+    assert f_hi[0] == kernel(0.01 * 51, gamma2) - tau < 0.0
+
+
+@pytest.mark.parametrize("tau_db", [-3.0, -6.0, -10.0])
+def test_top_level_march_keeps_the_top_level(tau_db):
+    # product_max's pruned first pass finds the top grid level of a full
+    # march on the 4096-column grid, with the same brackets there
+    tau = _db(tau_db)
+    g2 = np.geomspace(regimes_mod._GAMMA2_FLOOR, 1.0 / tau, regimes_mod._GAMMA2_POINTS)
+    full = regimes_mod._march(tau, g2)
+    pruned = regimes_mod._top_level_march(tau, g2, gain_narrowband(g2) - tau)
+    top = np.flatnonzero(full[0] == full[0].max())
+    assert np.array_equal(np.flatnonzero(pruned[0] == pruned[0].max()), top)
+    for got, want in zip(pruned, full):
+        assert np.array_equal(got[top], want[top])
 
 
 @pytest.mark.parametrize("tau_db", [-0.2, -2.0, -3.0, -10.0])
@@ -558,3 +615,6 @@ def test_solver_rounds(monkeypatch):
     calls.clear()
     product_max.__wrapped__(_db(-3.0))
     assert len(calls) <= 80
+    calls.clear()
+    product_max.__wrapped__(_db(-10.0))
+    assert len(calls) <= 120
