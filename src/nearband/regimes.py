@@ -189,20 +189,17 @@ def _check_threshold(tau_linear: float, caller: str) -> None:
 
 # The first crossing of each gamma2 column is bracketed on the grid
 # p = k * _PRODUCT_STEP of the product gamma1*gamma2: hi is the first grid
-# point whose gain is below tau, lo = hi - _PRODUCT_STEP.  The march
-# (_march) evaluates one chunk of grid points per open column and round.
-# Since |dG/dp| <= pi/2, a point whose gain is G holds every grid point
-# below p + 2 (G - tau - m) / pi at or above tau; the margin
-# m = 2 sqrt(2) 1e-9 / gamma2 covers the kernel's 1e-9 C/S error at both
-# points (G = |dC + j dS| / (2 gamma2)).  So each chunk starts at the
-# column's first grid point that bound does not certify, and also
-# evaluates the point before it; a chunk holds _PRODUCT_CHUNK points at
-# first and doubles each round while the open columns hold at most
-# _MARCH_POINTS points.  The brackets, with G - tau at both ends, are
-# those of a march over every grid point.  A bracketed secant (Illinois,
-# _finish) then closes each bracket; a round also evaluates the secant
-# point +- _GUARD_ULPS ulp, so it closes the bracket once the estimate is
-# that close, and rounds stop at _FINISH_ULPS ulp or after _FINISH_ROUNDS.
+# point whose gain is below tau, lo = hi - _PRODUCT_STEP.  Each round of
+# the march (_march) evaluates the next chunk of grid points of every open
+# column.  The first two chunks hold _PRODUCT_CHUNK points; after that a
+# chunk is as long as the march so far, up to _MARCH_POINTS points over
+# the open columns, so a crossing near p = 34 takes about 8 rounds rather
+# than 108, and one below p = 0.64 the same two as a fixed-step march.  No
+# grid point past the march limit is evaluated.  A bracketed secant
+# (Illinois, _finish) then closes each bracket; a round also evaluates the
+# secant point +- _GUARD_ULPS ulp, so it closes the bracket once the
+# estimate is that close, and rounds stop at _FINISH_ULPS ulp or after
+# _FINISH_ROUNDS.
 # Kernel calls (rounds), not points, are the cost.  product_max searches
 # a log grid of gamma2, finishes only the columns whose hi is the largest
 # (the top grid level) and refines the maximizer on shrinking linear
@@ -214,7 +211,6 @@ _PRODUCT_STEP = 0.01
 _PRODUCT_CHUNK = 32
 _PRODUCT_LIMIT = 64.0
 _MARCH_POINTS = 65536
-_MARGIN = 2.0 * math.sqrt(2.0) * 1e-9  # m * gamma2: twice G's error bound
 _COARSE_STRIDE = 16
 _FINISH_ROUNDS = 48
 _FINISH_ULPS = 8
@@ -225,59 +221,56 @@ _REFINE_POINTS = 33
 _REFINE_ROUNDS = 5
 
 
-def _march(tau: float, g2: np.ndarray, f0: np.ndarray | None = None):
+def _march(tau: float, g2: np.ndarray):
     """Bracket [hi - _PRODUCT_STEP, hi] of each column's first crossing, with
     G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau.
-    ``f0``, the on-axis G - tau, is computed unless given.  Raises
-    ``NoCrossingError`` when a column keeps its gain at or above tau up to
-    the march limit; no grid point past the limit is evaluated."""
-    if f0 is None:
-        f0 = gain_narrowband(g2) - tau
+    Raises ``NoCrossingError`` when a column keeps its gain at or above tau
+    up to the march limit; no grid point past the limit is evaluated."""
     hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
-    last = int(_PRODUCT_LIMIT / _PRODUCT_STEP + 1e-9)  # the last grid index marched
+    f0 = gain_narrowband(g2) - tau
     cols = np.flatnonzero(f0 >= 0.0)
-    g, k, f_k = g2[cols], np.zeros(cols.size, dtype=np.int64), f0[cols]
-    chunk = _PRODUCT_CHUNK
+    f_k = f0[cols]
+    last = int(_PRODUCT_LIMIT / _PRODUCT_STEP + 1e-9)  # the last grid index marched
+    k0 = 0
     while cols.size:
-        # k is each column's last evaluated grid point and f_k its G - tau;
-        # the bound certifies the next `skip` grid points at or above tau
-        skip = np.floor((f_k - _MARGIN / g) * (2.0 / (math.pi * _PRODUCT_STEP)))
-        start = k + np.maximum(skip, 0.0).astype(np.int64)
-        idx = np.minimum(start[:, None] + np.arange(chunk + 1), last)
-        f = _gain_pq(_PRODUCT_STEP * idx, g[:, None]) - tau
-        below = f[:, 1:] < 0.0
-        hit = below.any(axis=1)
-        rows = np.flatnonzero(hit)
-        j = below[rows].argmax(axis=1) + 1
-        hi[cols[rows]] = _PRODUCT_STEP * idx[rows, j]
-        f_hi[cols[rows]] = f[rows, j]
-        f_lo[cols[rows]] = f[rows, j - 1]
-        miss = ~hit
-        cols, g, k, f_k = cols[miss], g[miss], idx[miss, -1], f[miss, -1]
-        if (k == last).any():
+        if k0 >= last:
             raise NoCrossingError(
                 f"gain never crossed below tau={tau!r} for gamma1*gamma2 <= {_PRODUCT_LIMIT!r}"
             )
-        if 2 * chunk * cols.size <= _MARCH_POINTS:
-            chunk *= 2
+        # a chunk as long as the march so far, within the point budget
+        chunk = max(_PRODUCT_CHUNK, min(k0, _MARCH_POINTS // cols.size))
+        k = np.arange(k0 + 1, min(k0 + chunk, last) + 1)
+        p = _PRODUCT_STEP * k
+        f = _gain_pq(p, g2[cols, None]) - tau
+        below = f < 0.0
+        hit = below.any(axis=1)
+        rows = np.flatnonzero(hit)
+        j = below[rows].argmax(axis=1)
+        hi[cols[rows]] = p[j]
+        f_hi[cols[rows]] = f[rows, j]
+        f_lo[cols[rows]] = np.where(j > 0, f[rows, j - 1], f_k[rows])
+        miss = ~hit
+        cols, f_k = cols[miss], f[miss, -1]
+        k0 = int(k[-1])
     return hi, f_lo, f_hi
 
 
-def _top_level_march(tau: float, g2: np.ndarray, f0: np.ndarray):
+def _top_level_march(tau: float, g2: np.ndarray, live: np.ndarray):
     """``_march``'s brackets on every column of the top grid level (the
     largest hi), and on some lower columns; hi is 0 on the columns not
-    marched.  Every _COARSE_STRIDE-th column is marched and gives a level
-    h0; another live column is marched only if its gain at the grid point
-    below h0 is at or above tau, since otherwise it crosses below h0."""
+    marched.  ``live`` marks the columns whose on-axis gain is at or above
+    tau.  Every _COARSE_STRIDE-th column is marched and gives a level h0;
+    another live column is marched only if its gain at the grid point below
+    h0 is at or above tau, since otherwise it crosses below h0."""
     hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
     coarse = np.zeros(g2.size, dtype=bool)
     coarse[::_COARSE_STRIDE] = True
-    hi[coarse], f_lo[coarse], f_hi[coarse] = _march(tau, g2[coarse], f0[coarse])
-    rest = np.flatnonzero(~coarse & (f0 >= 0.0))
+    hi[coarse], f_lo[coarse], f_hi[coarse] = _march(tau, g2[coarse])
+    rest = np.flatnonzero(~coarse & live)
     k0 = round(hi.max() / _PRODUCT_STEP)
-    if k0 > 1:  # below that, the grid point is p = 0, which f0 already holds
+    if k0 > 1:  # below that, the grid point is p = 0, where every live column holds
         rest = rest[_gain_pq(_PRODUCT_STEP * (k0 - 1), g2[rest]) >= tau]
-    hi[rest], f_lo[rest], f_hi[rest] = _march(tau, g2[rest], f0[rest])
+    hi[rest], f_lo[rest], f_hi[rest] = _march(tau, g2[rest])
     return hi, f_lo, f_hi
 
 
@@ -411,14 +404,14 @@ def product_max(tau_linear: float) -> float:
     reach = _gain_pq(p_ff, g2) >= tau_linear
     if not reach.any():
         return p_ff
-    f0 = gain_narrowband(g2) - tau_linear
-    if not (reach & (f0 >= 0.0)).any():
+    live = gain_narrowband(g2) >= tau_linear
+    if not (reach & live).any():
         return p_ff
     best = 0.0
     for r in range(_REFINE_ROUNDS + 1):
         # a column one grid level below the top crosses before the top
         # level's lower bracket end, so only the top level can hold the maximum
-        hi, f_lo, f_hi = _march(tau_linear, g2) if r else _top_level_march(tau_linear, g2, f0)
+        hi, f_lo, f_hi = _march(tau_linear, g2) if r else _top_level_march(tau_linear, g2, live)
         top = np.flatnonzero((hi == hi.max()) & (hi > 0.0))
         products = np.zeros_like(g2)
         products[top] = _finish(tau_linear, g2[top], hi[top], f_lo[top], f_hi[top])
