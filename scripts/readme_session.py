@@ -9,9 +9,13 @@ README's ``contours``, ``bmax-curve`` and ``band-map --svg`` commands,
     python scripts/readme_session.py OUTDIR
 
 Needs only the package and numpy, so it checks that a runtime-only install
-(``pip install .``, no extras) works end to end.
+(``pip install .``, no extras) works end to end.  The commands run in
+OUTDIR, so each ``PYTHONPATH`` entry is first made absolute against the
+caller's directory; ``PYTHONPATH=src python scripts/readme_session.py OUT``
+from the repository root runs the source tree.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -37,11 +41,15 @@ def main(outdir: str) -> int:
     out.mkdir(parents=True, exist_ok=True)
     block = re.findall(r"^```ini\n(.*?)^```$", README.read_text(encoding="utf-8"), re.S | re.M)
     (out / "scenario.cfg").write_text(block[0], encoding="utf-8")
+    env = dict(os.environ)
+    if "PYTHONPATH" in env:
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) for p in env["PYTHONPATH"].split(os.pathsep))
     for args in SESSION:
         if args[0] != "verify":
             args = [args[0], "--scenario", "scenario.cfg", *args[1:]]
         cmd = [sys.executable, "-m", "nearband.cli", *args]
-        if subprocess.run(cmd, cwd=out).returncode != 0:
+        if subprocess.run(cmd, cwd=out, env=env).returncode != 0:
             print(f"failed: {' '.join(args)}", file=sys.stderr)
             return 1
     return 0

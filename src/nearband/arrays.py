@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_M_S
-from .regimes import Regime, _check_finite, _check_positive, _fresnel_distance
+from .regimes import (Regime, _check_angle, _check_finite, _check_offset, _check_positive,
+                      _fresnel_distance)
 
 __all__ = [
     "VARIANTS",
@@ -101,8 +102,7 @@ class ObserverPoint:
 
     def __post_init__(self):
         _check_positive(range_m=self.range_m)
-        if not (abs(self.angle_rad) < math.pi / 2):
-            raise ValueError("angle_rad must lie in (-pi/2, pi/2)")
+        _check_angle(angle_rad=self.angle_rad)
 
 
 def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
@@ -133,10 +133,11 @@ def _path_minus_center(geom: ArrayGeometry, point: ObserverPoint, variant: str) 
     return (d_n * d_n - 2.0 * r * d_n * sin_t) / (r_n + r)
 
 
-def _check_variant(variant: str, baseband_hz: float) -> float:
+def _check_variant(variant: str, baseband_hz: float, carrier_hz: float) -> float:
     if variant not in VARIANTS:
         raise ValueError(f"unknown channel variant {variant!r}; expected one of {VARIANTS}")
     _check_finite(baseband_hz=baseband_hz)
+    _check_offset(baseband_hz / carrier_hz, "baseband_hz")
     if variant in _NARROWBAND and baseband_hz != 0.0:
         raise ValueError(f"narrowband variant {variant!r} requires baseband_hz = 0")
     return 0.0 if variant in _NARROWBAND else baseband_hz
@@ -151,7 +152,7 @@ def channel(geom: ArrayGeometry, point: ObserverPoint, variant: str,
     for far-field ones; narrowband variants force f = 0.  The common center
     phase is removed.
     """
-    f = _check_variant(variant, baseband_hz)
+    f = _check_variant(variant, baseband_hz, geom.carrier_hz)
     delta = _path_minus_center(geom, point, variant)
     phase = -2.0 * np.pi * delta * (geom.carrier_hz + f) / SPEED_OF_LIGHT_M_S
     return np.exp(1j * phase)

@@ -168,7 +168,8 @@ def run_band_map(scenario: Scenario) -> tuple[SweepTable, tuple]:
         raise ScenarioError("sweep.axis: band-map requires an f_hz sweep")
     fc = scenario.carrier_hz
     if not (-fc < scenario.sweep.lo and scenario.sweep.hi < fc):
-        raise ScenarioError("sweep.min: band-map offsets must lie within (-carrier, +carrier)")
+        key = "max" if -fc < scenario.sweep.lo else "min"
+        raise ScenarioError(f"sweep.{key}: band-map offsets must lie within (-carrier, +carrier)")
     freqs = _sweep_values(scenario)
     lam = SPEED_OF_LIGHT_M_S / fc
     lbar = scenario.n_antennas * scenario.dbar

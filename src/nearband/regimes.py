@@ -34,8 +34,6 @@ __all__ = [
     "ThresholdSpec",
     "NoCrossingError",
     "gamma_from_regime",
-    "fbar_from_gamma",
-    "rbar_from_gamma",
     "product_max",
     "far_field_product",
     "main_lobe_boundary",
@@ -74,14 +72,11 @@ class Regime:
         for field in fields(self):
             if not math.isfinite(getattr(self, field.name)):
                 raise ValueError(f"regime requires a finite {field.name}")
-        if not (1.0 + self.fbar > 0.0):
-            raise ValueError("regime requires 1 + fbar > 0")
-        if not (self.rbar > 0.0):
-            raise ValueError("regime requires rbar > 0")
+        _check_offset(self.fbar, "fbar")
+        _check_positive(rbar=self.rbar)
         if not (0.0 < self.dbar <= self.lbar):
             raise ValueError("regime requires lbar >= dbar > 0")
-        if not (abs(self.theta_rad) < math.pi / 2):
-            raise ValueError("regime requires |theta| < pi/2")
+        _check_angle(theta_rad=self.theta_rad)
 
 
 @dataclass(frozen=True)
@@ -121,43 +116,6 @@ def gamma_from_regime(regime: Regime) -> GammaPair:
     return GammaPair(float(g1), float(g2))
 
 
-def fbar_from_gamma(pair: GammaPair, lbar: float, theta_rad: float) -> float:
-    """Recover the normalized frequency: fbar = -gamma1*gamma2 / (lbar sin theta).
-
-    Singular at broadside (gamma1 is identically zero there, so fbar cannot
-    be recovered); raises ``ValueError`` for theta = 0, and naming the
-    argument unless gamma1, gamma2 are finite, lbar > 0 and |theta| < pi/2.
-    """
-    _check_finite(gamma1=pair.gamma1, gamma2=pair.gamma2)
-    _check_positive(lbar=lbar)
-    _check_angle(theta_rad)
-    sin_t = math.sin(theta_rad)
-    if sin_t == 0.0:
-        raise ValueError("fbar is not recoverable at broadside (sin theta = 0)")
-    return -pair.gamma1 * pair.gamma2 / (lbar * sin_t)
-
-
-def rbar_from_gamma(fbar: float, gamma2: float, lbar: float, theta_rad: float) -> float:
-    """Recover the normalized distance: rbar = lbar^2 cos^2(theta) (1+fbar) / (2 gamma2^2).
-
-    gamma2 = 0 corresponds to infinite distance and returns the ``inf``
-    sentinel rather than raising.  Raises ``ValueError`` naming the argument
-    unless every input is finite, 1 + fbar > 0, gamma2 >= 0, lbar > 0 and
-    |theta| < pi/2.
-    """
-    _check_finite(fbar=fbar, gamma2=gamma2)
-    if not 1.0 + fbar > 0.0:
-        raise ValueError(f"fbar must satisfy 1 + fbar > 0, got {fbar!r}")
-    if gamma2 < 0.0:
-        raise ValueError("gamma2 must be nonnegative")
-    _check_positive(lbar=lbar)
-    _check_angle(theta_rad)
-    if gamma2 == 0.0:
-        return math.inf
-    cos_t = math.cos(theta_rad)
-    return lbar * lbar * cos_t * cos_t * (1.0 + fbar) / (2.0 * gamma2 * gamma2)
-
-
 def _check_finite(**args: float) -> None:
     """Raise ``ValueError`` naming the first non-finite keyword argument."""
     for name, value in args.items():
@@ -172,9 +130,19 @@ def _check_positive(**args: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-def _check_angle(theta_rad: float) -> None:
-    if not abs(theta_rad) < math.pi / 2:
-        raise ValueError(f"theta_rad must satisfy |theta_rad| < pi/2, got {theta_rad!r}")
+def _check_angle(**args: float) -> None:
+    """Raise ``ValueError`` naming the first argument not in (-pi/2, pi/2)."""
+    for name, value in args.items():
+        if not abs(value) < math.pi / 2:
+            raise ValueError(f"{name} must satisfy |{name}| < pi/2, got {value!r}")
+
+
+def _check_offset(fbar: float, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless the absolute frequency
+    (1 + fbar) f_c is positive."""
+    if not 1.0 + fbar > 0.0:
+        raise ValueError(f"{name} must keep the absolute frequency positive "
+                         f"(1 + fbar > 0), got fbar = {fbar!r}")
 
 
 def _check_threshold(tau_linear: float, caller: str) -> None:
@@ -187,26 +155,10 @@ def _check_threshold(tau_linear: float, caller: str) -> None:
 # threshold inversion on the gain surface
 # ---------------------------------------------------------------------------
 
-# The first crossing of each gamma2 column is bracketed on the grid
-# p = k * _PRODUCT_STEP of the product gamma1*gamma2: hi is the first grid
-# point whose gain is below tau, lo = hi - _PRODUCT_STEP.  Each round of
-# the march (_march) evaluates the next chunk of grid points of every open
-# column.  The first two chunks hold _PRODUCT_CHUNK points; after that a
-# chunk is as long as the march so far, up to _MARCH_POINTS points over
-# the open columns, so a crossing near p = 34 takes about 8 rounds rather
-# than 108, and one below p = 0.64 the same two as a fixed-step march.  No
-# grid point past the march limit is evaluated.  A bracketed secant
-# (Illinois, _finish) then closes each bracket; a round also evaluates the
-# secant point +- _GUARD_ULPS ulp, so it closes the bracket once the
-# estimate is that close, and rounds stop at _FINISH_ULPS ulp or after
-# _FINISH_ROUNDS.
-# Kernel calls (rounds), not points, are the cost.  product_max searches
-# a log grid of gamma2, finishes only the columns whose hi is the largest
-# (the top grid level) and refines the maximizer on shrinking linear
-# brackets.  Its first pass marches only the columns that can reach the
-# top level (_top_level_march).  Near -10 dB the boundary product jumps
-# between nulls and peaks on gamma2 intervals only 0.3% wide; 4096 log
-# points resolve them (2048 miss the peak at 0.1).
+# Kernel calls (rounds), not points, are the cost of these solvers.  Near
+# -10 dB the boundary product jumps between nulls and peaks on gamma2
+# intervals only 0.3% wide; 4096 log points resolve them (2048 miss the
+# peak at 0.1).
 _PRODUCT_STEP = 0.01
 _PRODUCT_CHUNK = 32
 _PRODUCT_LIMIT = 64.0
@@ -471,10 +423,9 @@ def band_distance(
     """
     _check_finite(f_hz=f_hz)
     _check_positive(fc_hz=fc_hz, aperture_m=aperture_m)
-    _check_angle(theta_rad)
+    _check_angle(theta_rad=theta_rad)
     fbar = f_hz / fc_hz
-    if 1.0 + fbar <= 0.0:
-        raise ValueError("band_distance requires 1 + f/fc > 0")
+    _check_offset(fbar, "f_hz")
     _check_threshold(tau_linear, "band_distance")
 
     lam = SPEED_OF_LIGHT_M_S / fc_hz
@@ -513,7 +464,7 @@ def effective_rayleigh_distance(theta_rad: float, lbar: float, wavelength_m: flo
     """Angle-dependent near-field boundary at the 0.95 linear gain level:
     0.367 * cos^2(theta) * 2 * lbar^2 * lambda_c.  Raises ``ValueError``
     unless |theta| < pi/2 and lbar, wavelength_m are positive and finite."""
-    _check_angle(theta_rad)
+    _check_angle(theta_rad=theta_rad)
     cos_t = math.cos(theta_rad)
     return RAYLEIGH_COEFF * cos_t * cos_t * fraunhofer_distance(lbar, wavelength_m)
 

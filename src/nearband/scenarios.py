@@ -149,10 +149,12 @@ class GridSpec:
 
     def __post_init__(self):
         _check_finite(self, "grid")
-        if self.gamma1_max <= 0 or self.gamma2_max <= 0:
-            raise ScenarioError("grid.gamma1_max: grid extents must be positive")
-        if self.gamma1_points < 2 or self.gamma2_points < 2:
-            raise ScenarioError("grid.gamma1_points: grids need at least 2 points")
+        for key in ("gamma1_max", "gamma2_max"):
+            if getattr(self, key) <= 0:
+                raise ScenarioError(f"grid.{key}: grid extents must be positive")
+        for key in ("gamma1_points", "gamma2_points"):
+            if getattr(self, key) < 2:
+                raise ScenarioError(f"grid.{key}: grids need at least 2 points")
         if self.gamma1_points * self.gamma2_points > _MAX_TABLE_ROWS:
             raise ScenarioError(
                 f"grid.gamma1_points: gamma1_points * gamma2_points must be <= {_MAX_TABLE_ROWS}")

@@ -65,6 +65,13 @@ def test_geometry_validation():
         ObserverPoint(0.0, 0.0)
     with pytest.raises(ValueError):
         ObserverPoint(1.0, math.pi / 2)
+    # an offset at or below -carrier leaves no positive absolute frequency
+    # (the README quickstart array at 20 m and 60 degrees)
+    rx = ObserverPoint(20.0, math.radians(60))
+    for offset in (-39e9, -2 * 39e9):
+        for build in (channel, beamformer, gain_exact):
+            with pytest.raises(ValueError, match="baseband_hz"):
+                build(_geom(), rx, "nf_wb", offset)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

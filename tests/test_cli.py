@@ -295,6 +295,15 @@ def test_bmax_curve_names_the_sweep_end_that_broke(tmp_path, scenario_file, caps
     assert f"nearband: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("sweep.min", "-40e9"), ("sweep.max", "40e9")])
+def test_band_map_names_the_offset_past_the_carrier(tmp_path, scenario_file, capsys, key, value):
+    out = tmp_path / "b.csv"
+    assert main(["band-map", "--scenario", str(scenario_file(BAND_SWEEP)), "--out", str(out),
+                 "--set", f"{key}={value}"]) == EXIT_USAGE
+    message = f"nearband: {key}: band-map offsets must lie within (-carrier, +carrier)"
+    assert message in capsys.readouterr().err
+
+
 def test_oversized_n_antennas_is_a_usage_error(tmp_path, scenario_file, capsys):
     # n_antennas * dbar must stay a finite float in band-map
     out = tmp_path / "b.csv"

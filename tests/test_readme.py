@@ -1,7 +1,10 @@
 """The README's scenario block parses, its library quickstart runs, and
 the CLI lays its gain tables out as the README describes."""
 
+import importlib.util
+import os
 import re
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from nearband.fresnel import gain_closed_form, to_db
 
 from _oracles import csv_rows
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _block(lang: str) -> str:
@@ -79,3 +83,26 @@ def test_gain_cuts_rows_in_metadata_order(tmp_path):
         rows += [(int(c[1]), x1, x2, v) for (x1, x2), v in zip(pairs, gains)]
     assert header == b"cut_id,gamma1,gamma2,gain_db"
     assert data == csv_rows(rows)
+
+
+def test_readme_session_passes_absolute_pythonpath(tmp_path, monkeypatch):
+    # the commands run in OUTDIR, so a relative entry would not reach them
+    spec = importlib.util.spec_from_file_location("readme_session",
+                                                  ROOT / "scripts" / "readme_session.py")
+    session = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(session)
+    envs = []
+
+    def run(cmd, cwd, env=None):
+        envs.append(os.environ if env is None else env)
+        return subprocess.CompletedProcess(cmd, 0)
+
+    monkeypatch.setattr(session.subprocess, "run", run)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["src", "lib/extra"]))
+    assert session.main("out") == 0
+    assert len(envs) == len(session.SESSION)
+    here = os.getcwd()
+    for env in envs:
+        assert env["PYTHONPATH"].split(os.pathsep) == [os.path.join(here, "src"),
+                                                        os.path.join(here, "lib", "extra")]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nearband.regimes as regimes_mod
 from nearband.constants import SPEED_OF_LIGHT_M_S as C
-from nearband.fresnel import GammaPair, _gain_pq, gain_closed_form, gain_narrowband
+from nearband.fresnel import _gain_pq, gain_closed_form, gain_narrowband
 from nearband.regimes import (
     NoCrossingError,
     Regime,
@@ -19,12 +19,10 @@ from nearband.regimes import (
     bmax,
     effective_rayleigh_distance,
     far_field_product,
-    fbar_from_gamma,
     fraunhofer_distance,
     gamma_from_regime,
     main_lobe_boundary,
     product_max,
-    rbar_from_gamma,
 )
 
 from _oracles import first_crossing_root, gain_40, sinc_threshold_root
@@ -35,7 +33,7 @@ def _db(db):
 
 
 # ---------------------------------------------------------------------------
-# forward / inverse maps
+# the forward map
 # ---------------------------------------------------------------------------
 
 def test_gamma_map_special_cases():
@@ -58,39 +56,16 @@ regimes_strategy = st.builds(
 
 
 @given(regimes_strategy)
-def test_gamma_roundtrip(regime):
-    pair = gamma_from_regime(regime)
-    fbar = fbar_from_gamma(pair, regime.lbar, regime.theta_rad)
-    rbar = rbar_from_gamma(fbar, pair.gamma2, regime.lbar, regime.theta_rad)
-    assert fbar == pytest.approx(regime.fbar, abs=1e-12, rel=1e-12)
-    assert rbar == pytest.approx(regime.rbar, rel=1e-12)
-
-
-@given(regimes_strategy)
 def test_fractional_bandwidth_identity(regime):
     # |f_B lbar sin(theta)| = |2 gamma1 gamma2| with f_B = |2 fbar|
     pair = gamma_from_regime(regime)
     lhs = abs(2.0 * regime.fbar * regime.lbar * math.sin(regime.theta_rad))
     rhs = abs(2.0 * pair.gamma1 * pair.gamma2)
     assert rhs == pytest.approx(lhs, rel=1e-12, abs=1e-15)
-
-
-def test_fbar_example_and_singularity():
-    pair = GammaPair(1.0, 0.3654)
-    got = fbar_from_gamma(pair, 32.0, math.radians(60))
-    assert got == pytest.approx(-0.3654 / (32.0 * math.sin(math.radians(60))), rel=1e-12)
-    assert got == pytest.approx(-0.01319, abs=5e-6)
-    with pytest.raises(ValueError):
-        fbar_from_gamma(pair, 32.0, 0.0)
-
-
-def test_rbar_examples():
-    lbar = 32.0
-    assert rbar_from_gamma(0.0, 0.5, lbar, 0.0) == pytest.approx(2.0 * lbar**2, rel=1e-14)
-    assert rbar_from_gamma(0.1, 1.0, lbar, 0.3) == pytest.approx(
-        4.0 * rbar_from_gamma(0.1, 2.0, lbar, 0.3), rel=1e-14)
-    assert rbar_from_gamma(0.02, 0.8, 32.0, math.radians(60)) == pytest.approx(204.0, rel=1e-12)
-    assert rbar_from_gamma(0.0, 0.0, lbar, 0.0) == math.inf
+    # gamma2^2 = lbar^2 cos^2(theta) (1 + fbar) / (2 rbar)
+    cos_t = math.cos(regime.theta_rad)
+    g2_sq = regime.lbar**2 * cos_t * cos_t * (1.0 + regime.fbar) / (2.0 * regime.rbar)
+    assert pair.gamma2**2 == pytest.approx(g2_sq, rel=1e-12)
 
 
 def test_regime_validation():
@@ -129,27 +104,15 @@ def test_regime_rejects_non_finite(field, bad):
                  id="band-aperture_m"),
     pytest.param(band_distance, (1e8, 39e9, 0.8, 0.3, -math.inf), "theta_rad",
                  id="band-theta_rad"),
-    # the closed-form distances and rbar_from_gamma reject out-of-range
+    # band_distance, and the closed-form distances, reject out-of-range
     # values as well as non-finite ones
+    pytest.param(band_distance, (-2 * 39e9, 39e9, 0.8, 0.3, 0.5), "f_hz", id="band-f_hz-offset"),
     pytest.param(fraunhofer_distance, (64.0, -0.01), "wavelength_m", id="fa-wavelength_m"),
     pytest.param(fraunhofer_distance, (-64.0, 0.01), "lbar", id="fa-lbar"),
     pytest.param(fraunhofer_distance, (math.nan, 0.01), "lbar", id="fa-lbar-nan"),
     pytest.param(effective_rayleigh_distance, (2.0, 64.0, 0.01), "theta_rad", id="erd-theta_rad"),
     pytest.param(effective_rayleigh_distance, (0.5, 64.0, 0.0), "wavelength_m",
                  id="erd-wavelength_m"),
-    pytest.param(rbar_from_gamma, (-2.0, 0.5, 32.0, 0.0), "fbar", id="rbar-fbar"),
-    pytest.param(rbar_from_gamma, (0.0, math.inf, 32.0, 0.0), "gamma2", id="rbar-gamma2"),
-    pytest.param(rbar_from_gamma, (0.0, 0.0, -32.0, 0.0), "lbar", id="rbar-lbar"),
-    pytest.param(rbar_from_gamma, (0.0, 0.5, 32.0, -2.0), "theta_rad", id="rbar-theta_rad"),
-    pytest.param(fbar_from_gamma, (GammaPair(math.inf, 0.5), 32.0, 0.5), "gamma1",
-                 id="fbar-gamma1"),
-    pytest.param(fbar_from_gamma, (GammaPair(1.0, math.nan), 32.0, 0.5), "gamma2",
-                 id="fbar-gamma2"),
-    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), math.nan, 0.5), "lbar", id="fbar-lbar"),
-    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), -32.0, 0.5), "lbar",
-                 id="fbar-lbar-negative"),
-    pytest.param(fbar_from_gamma, (GammaPair(1.0, 0.5), 32.0, math.inf), "theta_rad",
-                 id="fbar-theta_rad"),
     # the gain kernel's own errors name gamma2 too, so these match the message
     pytest.param(main_lobe_boundary, (0.8, np.array([0.5, 0.0])), "gamma2 must be positive",
                  id="boundary-gamma2-zero"),

@@ -89,7 +89,9 @@ def test_rejections(mutation, fragment):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: GridSpec(gamma2_points=0), "grid.gamma1_points: grids need at least 2 points"),
+    (lambda: GridSpec(gamma1_points=1), "grid.gamma1_points: grids need at least 2 points"),
+    (lambda: GridSpec(gamma2_points=0), "grid.gamma2_points: grids need at least 2 points"),
+    (lambda: GridSpec(gamma2_max=-1.0), "grid.gamma2_max: grid extents must be positive"),
     (lambda: GridSpec(gamma1_points=1001, gamma2_points=1000), "grid.gamma1_points: .* <= 1000000"),
     (lambda: GridSpec(gamma2_max=math.inf), "grid.gamma2_max: value must be finite"),
     (lambda: SweepSpec("f_hz", 5.0, 1.0, 4), "sweep.min: must be strictly less than sweep.max"),
