@@ -185,6 +185,7 @@ def check_fresnel_region(geom: ArrayGeometry, point: ObserverPoint) -> bool:
 def as_regime(geom: ArrayGeometry, point: ObserverPoint, baseband_hz: float = 0.0) -> Regime:
     """Normalized (carrier-independent) view of a physical configuration."""
     lam = geom.wavelength_m
+    _check_offset(baseband_hz / geom.carrier_hz, "baseband_hz")
     return Regime(
         fbar=baseband_hz / geom.carrier_hz,
         rbar=point.range_m / lam,

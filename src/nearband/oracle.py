@@ -105,6 +105,12 @@ def _integrate_panels(points: np.ndarray) -> np.ndarray:
     return total
 
 
+def _distinct(v: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a finite array without -0.0, without importing numpy.ma."""
+    v = np.sort(v)
+    return v[np.diff(v, prepend=-np.inf) != 0.0]
+
+
 def quadrature_cs(x):
     """Fresnel C and S by direct adaptive quadrature of the integrands.
 
@@ -116,7 +122,7 @@ def quadrature_cs(x):
     if not np.isfinite(arr).all():
         raise ValueError("quadrature oracle requires finite arguments")
     mags = np.abs(arr)
-    targets = np.unique(mags[mags > 0])
+    targets = _distinct(mags[mags > 0])
 
     # breakpoints: every target plus oscillation-resolving seed points
     # (local period of cos(pi t^2/2) is ~2/t, keep <= ~1/4 period per panel)
@@ -130,7 +136,7 @@ def quadrature_cs(x):
             extra.append(t)
     if extra:
         seeds.append(np.array(extra))
-    points = np.unique(np.concatenate(seeds))
+    points = _distinct(np.concatenate(seeds))
 
     segment = _integrate_panels(points)
     prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(segment)])

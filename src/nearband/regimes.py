@@ -332,6 +332,9 @@ def far_field_product(tau_linear: float) -> float:
 def product_max(tau_linear: float) -> float:
     """Supremum of |gamma1*gamma2| over the main-lobe region with gain >= tau.
 
+    The region is taken per column: it holds the gamma2 columns whose
+    on-axis gain is at least tau, each from gamma1 = 0 to its first crossing.
+
     The supremum is at least :func:`far_field_product`, the gamma2 -> 0
     limit of the boundary.  It certifies that limit first on a log grid of
     gamma2 over [1e-3, 1/tau]: a column whose gain at p_ff is below tau

@@ -34,6 +34,7 @@ import configparser
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import islice
 
 import numpy as np
 
@@ -387,6 +388,7 @@ def _key_text(value) -> str:
 
 
 _EMIT_BLOCK_ROWS = 8192
+_EMIT_TEXT_ROWS = 2048
 
 
 def _block_cells(col: np.ndarray):
@@ -405,14 +407,17 @@ def emit_csv(table: SweepTable) -> bytes:
     """Serialize a table deterministically: metadata, header, rows, LF-only.
 
     ``repr`` of the Python numbers from ``tolist`` gives decimal integers and
-    shortest round-trip floats; one block of rows at a time is formatted
-    into one buffer.  Each block is checked for NaN/-inf (``ValueError``)
-    first, as a column may have been written to since the table was built.
+    shortest round-trip floats; one block of rows at a time is formatted and
+    written to one buffer, ``_EMIT_TEXT_ROWS`` rows of text at a time.  Each
+    block is checked for NaN/-inf (``ValueError``) first, as a column may
+    have been written to since the table was built.
     """
     head = [f"# {key} = {value}" for key, value in table.metadata] + [",".join(table.columns)]
     out = io.BytesIO()
     out.write(("\n".join(head) + "\n").encode("utf-8"))
     for i in range(0, len(table.data[0]) if table.data else 0, _EMIT_BLOCK_ROWS):
         cells = [_block_cells(col[i:i + _EMIT_BLOCK_ROWS]) for col in table.data]
-        out.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode("utf-8"))
+        rows = map(",".join, zip(*cells))
+        while text := "\n".join(islice(rows, _EMIT_TEXT_ROWS)):  # a row is never empty
+            out.write((text + "\n").encode("utf-8"))
     return out.getvalue()

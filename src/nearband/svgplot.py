@@ -1,7 +1,8 @@
 """Tiny deterministic SVG line charts for the CLI's --svg convenience view.
 
 The CSV tables are the contract; these charts are a quick visual check.
-Non-finite samples (the ``inf`` divergence sentinel) split a polyline.
+Non-finite samples (the ``inf`` divergence sentinel) split a polyline,
+whose points are written as ASCII digits into one byte array per run.
 """
 
 from __future__ import annotations
@@ -36,6 +37,31 @@ def _ticks(lo: float, hi: float, log: bool):
     return [lo + (hi - lo) * i / (_TICKS - 1) for i in range(_TICKS)]
 
 
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """Exact v*100 rounded half-to-even, as ``format(v, '.2f')`` rounds; where v*100.0
+    is a half, its error (exact by a Dekker split of v) picks the side."""
+    p = v * 100.0
+    c = 134217729.0 * v  # 2**27 + 1
+    hi = c - (c - v)
+    err = (hi * 100.0 - p) + (v - hi) * 100.0
+    n = np.rint(p)
+    off = (np.abs(p - n) == 0.5) & (err != 0.0)
+    n[off] = p[off] + np.copysign(0.5, err[off])
+    return n.astype(np.int64)
+
+
+def _points(xs: np.ndarray, ys: np.ndarray) -> str:
+    """``"x,y x,y ..."``, each coordinate as ``format(v, '.2f')``, 0 <= v < 1e13."""
+    n = _hundredths(np.stack([xs, ys], axis=1))
+    width = max(3, len(str(int(n.max()))))
+    # digits, a point before the last two, a separator; zero bytes are dropped
+    text = np.zeros(n.shape + (width + 2,), np.uint8)
+    text[..., width - 2], text[..., -1] = ord("."), (ord(","), ord(" "))
+    for i, j in enumerate(range(width - 1, -1, -1)):
+        text[..., i + (j < 2)] = np.where(n < 10 ** j * (j > 2), 0, n // 10 ** j % 10 + 48)
+    return str(text[text != 0][:-1], "ascii")
+
+
 def _fmt(value: float) -> str:
     if value == 0:
         return "0"
@@ -56,12 +82,11 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
         ok = np.isfinite(xs) & np.isfinite(ys) & ((ys > 0) if logy else True)
         arrays.append((label, xs[ok], ys[ok], np.flatnonzero(ok)))
-    if not any(xs.size for _, xs, _, _ in arrays):
+    drawn = [(xs, ys) for _, xs, ys, _ in arrays if xs.size]
+    if not drawn:
         raise ValueError("no finite data to plot")
-    all_x = np.concatenate([xs for _, xs, _, _ in arrays])
-    all_y = np.concatenate([ys for _, _, ys, _ in arrays])
-    x_lo, x_hi = float(all_x.min()), float(all_x.max())
-    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    x_lo, x_hi = min(float(xs.min()) for xs, _ in drawn), max(float(xs.max()) for xs, _ in drawn)
+    y_lo, y_hi = min(float(ys.min()) for _, ys in drawn), max(float(ys.max()) for _, ys in drawn)
     if x_lo == x_hi:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_lo == y_hi:
@@ -70,11 +95,11 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
-    def px(x) -> list:
-        return (_MARGIN_L + plot_w * _unit(x, x_lo, x_hi, False)).tolist()
+    def px(x) -> np.ndarray:
+        return _MARGIN_L + plot_w * _unit(x, x_lo, x_hi, False)
 
-    def py(y) -> list:
-        return (_MARGIN_T + plot_h * (1.0 - _unit(y, y_lo, y_hi, logy))).tolist()
+    def py(y) -> np.ndarray:
+        return _MARGIN_T + plot_h * (1.0 - _unit(y, y_lo, y_hi, logy))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}">',
@@ -90,13 +115,13 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
         f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>',
     ]
     ticks = _ticks(x_lo, x_hi, False)
-    for t, x in zip(ticks, px(ticks)):
+    for t, x in zip(ticks, px(ticks).tolist()):
         out.append(f'<line x1="{x:.2f}" y1="{_MARGIN_T + plot_h}" x2="{x:.2f}" '
                    f'y2="{_MARGIN_T + plot_h + 5}" stroke="black"/>')
         out.append(f'<text x="{x:.2f}" y="{_MARGIN_T + plot_h + 18}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="10">{_fmt(t)}</text>')
     ticks = _ticks(y_lo, y_hi, logy)
-    for t, y in zip(ticks, py(ticks)):
+    for t, y in zip(ticks, py(ticks).tolist()):
         out.append(f'<line x1="{_MARGIN_L - 5}" y1="{y:.2f}" x2="{_MARGIN_L}" '
                    f'y2="{y:.2f}" stroke="black"/>')
         out.append(f'<text x="{_MARGIN_L - 8}" y="{y + 3:.2f}" text-anchor="end" '
@@ -104,15 +129,15 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
 
     for k, (label, xs, ys, kept) in enumerate(arrays):
         color = _COLORS[k % len(_COLORS)]
-        points = list(map("{:.2f},{:.2f}".format, px(xs), py(ys)))
+        xs, ys = px(xs), py(ys)
         # a skipped sample between two kept ones ends a run
-        cuts = [0, *(np.flatnonzero(np.diff(kept) > 1) + 1).tolist(), len(points)]
+        cuts = [0, *(np.flatnonzero(np.diff(kept) > 1) + 1).tolist(), len(xs)]
         for a, b in zip(cuts, cuts[1:]):
             if b - a == 1:
-                cx, cy = points[a].split(",")
+                cx, cy = _points(xs[a:b], ys[a:b]).split(",")
                 out.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>')
             elif b > a:
-                out.append(f'<polyline points="{" ".join(points[a:b])}" fill="none" '
+                out.append(f'<polyline points="{_points(xs[a:b], ys[a:b])}" fill="none" '
                            f'stroke="{color}" stroke-width="1.5"/>')
         ly = _MARGIN_T + 16 + 16 * k
         lx = _WIDTH - _MARGIN_R + 10
@@ -120,5 +145,5 @@ def svg_line_chart(series, title: str, xlabel: str, ylabel: str,
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 24}" y="{ly}" font-family="sans-serif" '
                    f'font-size="11">{label}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    out.append("</svg>\n")
+    return "\n".join(out)

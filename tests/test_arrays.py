@@ -72,6 +72,8 @@ def test_geometry_validation():
         for build in (channel, beamformer, gain_exact):
             with pytest.raises(ValueError, match="baseband_hz"):
                 build(_geom(), rx, "nf_wb", offset)
+        with pytest.raises(ValueError, match="baseband_hz"):
+            as_regime(_geom(), rx, offset)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: outputs, determinism, exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nearband
 import nearband.cli as cli
 from nearband.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from nearband.verify import PRODUCT_MAX_ANCHORS, PRODUCT_MAX_TOL
@@ -375,6 +380,16 @@ def test_verify_subcommand(capsys):
     assert "PASS" in text and "FAIL" not in text
     assert "contour-constant-minus2db" in text
     assert "contour-constant-minus1db" in text
+
+
+def test_verify_does_not_import_numpy_ma():
+    # np.unique without options imports numpy.ma; the report does not need it
+    env = dict(os.environ, PYTHONPATH=str(Path(nearband.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "nearband.cli", "verify"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    assert "nearband.verify" in imported and "numpy.ma" not in imported
 
 
 def test_verify_detects_tampering(monkeypatch, capsys):

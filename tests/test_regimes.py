@@ -242,6 +242,18 @@ def test_product_max_covers_every_live_column():
     assert product_max(0.1) >= np.nanmax(boundary)
 
 
+def test_product_max_bounds_the_per_column_region():
+    # at -4.5 dB, past the live edge (gamma2 ~ 1.727), G >= tau continues as
+    # a band detached from the axis; product_max bounds only the per-column
+    # region, so this point's product lies above it
+    tau = _db(-4.5)
+    gamma2 = 2.07
+    assert gain_closed_form(2.0 / gamma2, gamma2) >= tau
+    assert gain_narrowband(gamma2) < tau
+    assert np.isnan(main_lobe_boundary(tau, [gamma2])).all()
+    assert product_max(tau) < 2.0
+
+
 def test_main_lobe_boundary_contract():
     tau = _db(-1.0)
     g2 = np.geomspace(1e-3, 6.0, 64)

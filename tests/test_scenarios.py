@@ -269,7 +269,8 @@ _EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e308, -1e308, math.inf
 _EDGE_INTS = [0, -1, 1, -(2 ** 63), 2 ** 63 - 1, 10 ** 16]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 8191, 8192, 8193, 3 * 8192 + 5])
+@pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049, 4097, 8191, 8192, 8193,
+                                    3 * 8192 + 5])
 @settings(max_examples=8)
 @given(
     floats=st.lists(st.floats(allow_nan=False).filter(lambda v: v != -math.inf), max_size=12),
