@@ -11,8 +11,9 @@ as CSV on stdout, and the wall time of each cold solve on stderr.
 more than 4 ulp, a threshold is missing, or a solve takes more rounds
 than the committed count plus max(2, 10 %) of it.  Fewer rounds pass, and
 the slack allows for an ulp of difference in the kernel on another
-platform, which can move the secant finish by a round.  Needs the
-nearband package importable (``pip install .`` or ``PYTHONPATH=src``).
+platform, which can move the secant finish by a round.  It imports
+nearband from the ``src`` directory of the checkout it sits in, ahead of
+any installed copy, so it checks that working tree and needs no install.
 """
 
 import argparse
@@ -20,6 +21,8 @@ import math
 import sys
 import time
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import nearband.regimes as regimes
 

@@ -205,9 +205,12 @@ def gain_fresnel_sum(regime: Regime, n_antennas: int) -> float:
     carrier-independent by construction.
 
     Outside the radiating near-field region a ``FresnelRegionWarning`` is
-    emitted and the formula still evaluates.
+    emitted and the formula still evaluates.  Raises ``ValueError`` unless
+    n_antennas * regime.dbar equals regime.lbar to rounding.
     """
     _check_count(n_antennas)
+    if not math.isclose(n_antennas * regime.dbar, regime.lbar, rel_tol=1e-9):
+        raise ValueError(f"n_antennas * dbar must equal the regime's lbar, got {n_antennas!r}")
     n = np.arange(n_antennas)
     centered = n - (n_antennas - 1) / 2.0
     # element distances and the near-field floor, both in wavelengths

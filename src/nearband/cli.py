@@ -26,11 +26,11 @@ from .fresnel import gain_closed_form, to_db
 from .regimes import (
     NoCrossingError,
     ThresholdSpec,
+    _main_lobe_boundaries,
     band_distance,
     bmax,
     effective_rayleigh_distance,
     fraunhofer_distance,
-    main_lobe_boundary,
     product_max,
 )
 from .scenarios import (PRESET_CARRIER_HZ, Scenario, ScenarioError, SweepTable, _key_text,
@@ -124,9 +124,10 @@ def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
     meta.append(("contour.gamma2_grid",
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
     g2_grid = np.geomspace(1e-3, 6.0, _CONTOUR_GAMMA2_POINTS)
-    for tau in scenario.taus:
-        pm = product_max(tau.tau_linear)
-        g1 = main_lobe_boundary(tau.tau_linear, g2_grid)
+    # every product_max first: its error on a deep threshold precedes the march's
+    pms = [product_max(tau.tau_linear) for tau in scenario.taus]
+    g1s = _main_lobe_boundaries([tau.tau_linear for tau in scenario.taus], g2_grid)
+    for tau, pm, g1 in zip(scenario.taus, pms, g1s):
         live = np.isfinite(g1)
         xs, ys = g1[live], g2_grid[live]
         parts.append((np.full(len(xs), tau.tau_db), xs, ys, xs * ys, np.full(len(xs), pm)))

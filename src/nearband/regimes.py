@@ -173,37 +173,45 @@ _REFINE_POINTS = 33
 _REFINE_ROUNDS = 5
 
 
-def _march(tau: float, g2: np.ndarray):
+def _march(tau, g2: np.ndarray):
     """Bracket [hi - _PRODUCT_STEP, hi] of each column's first crossing, with
     G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau.
-    Raises ``NoCrossingError`` when a column keeps its gain at or above tau
-    up to the march limit; no grid point past the limit is evaluated."""
-    hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
-    f0 = gain_narrowband(g2) - tau
-    cols = np.flatnonzero(f0 >= 0.0)
-    f_k = f0[cols]
+    For a 1-D array of thresholds the arrays gain a leading threshold axis,
+    and each grid point's gain is evaluated once for all thresholds still open
+    on its column.  Raises ``NoCrossingError``, naming the first threshold
+    still open, when a column keeps its gain at or above it up to the march
+    limit; no grid point past the limit is evaluated."""
+    taus = np.atleast_1d(tau)
+    hi, f_lo, f_hi = (np.zeros((taus.size, g2.size)) for _ in range(3))
+    g0 = gain_narrowband(g2)
+    live = g0 >= taus[:, None]
+    cols = np.flatnonzero(live.any(axis=0))
+    open_, g_k = live[:, cols], g0[cols]  # open: live and not yet crossed
     last = int(_PRODUCT_LIMIT / _PRODUCT_STEP + 1e-9)  # the last grid index marched
     k0 = 0
     while cols.size:
         if k0 >= last:
+            failed = float(taus[open_.any(axis=1).argmax()])
             raise NoCrossingError(
-                f"gain never crossed below tau={tau!r} for gamma1*gamma2 <= {_PRODUCT_LIMIT!r}"
+                f"gain never crossed below tau={failed!r} for gamma1*gamma2 <= {_PRODUCT_LIMIT!r}"
             )
         # a chunk as long as the march so far, within the point budget
         chunk = max(_PRODUCT_CHUNK, min(k0, _MARCH_POINTS // cols.size))
         k = np.arange(k0 + 1, min(k0 + chunk, last) + 1)
         p = _PRODUCT_STEP * k
-        f = _gain_pq(p, g2[cols, None]) - tau
-        below = f < 0.0
-        hit = below.any(axis=1)
-        rows = np.flatnonzero(hit)
-        j = below[rows].argmax(axis=1)
-        hi[cols[rows]] = p[j]
-        f_hi[cols[rows]] = f[rows, j]
-        f_lo[cols[rows]] = np.where(j > 0, f[rows, j - 1], f_k[rows])
-        miss = ~hit
-        cols, f_k = cols[miss], f[miss, -1]
+        g = _gain_pq(p, g2[cols, None])
+        below = g < taus[:, None, None]
+        t, rows = np.nonzero(below.any(axis=2) & open_)
+        j = below[t, rows].argmax(axis=1)
+        hi[t, cols[rows]] = p[j]
+        f_hi[t, cols[rows]] = g[rows, j] - taus[t]
+        f_lo[t, cols[rows]] = np.where(j > 0, g[rows, j - 1], g_k[rows]) - taus[t]
+        open_[t, rows] = False
+        more = open_.any(axis=0)
+        cols, open_, g_k = cols[more], open_[:, more], g[more, -1]
         k0 = int(k[-1])
+    if np.ndim(tau) == 0:
+        return hi[0], f_lo[0], f_hi[0]
     return hi, f_lo, f_hi
 
 
@@ -226,11 +234,13 @@ def _top_level_march(tau: float, g2: np.ndarray, live: np.ndarray):
     return hi, f_lo, f_hi
 
 
-def _finish(tau: float, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
+def _finish(tau, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
     """Midpoint of each bracket [hi - _PRODUCT_STEP, hi] from ``_march``,
-    narrowed to 8 ulp (at most 48 rounds) by bracketed secant steps.  Each
-    column is refined on its own values, so its result does not depend on
-    which other columns share the call."""
+    narrowed to 8 ulp (at most 48 rounds) by bracketed secant steps.  ``tau``
+    is one threshold or one per column.  Each column is refined on its own
+    values, so its result does not depend on which other columns share the
+    call."""
+    tau = np.broadcast_to(tau, hi.shape)
     lo, hi, f_lo, f_hi = hi - _PRODUCT_STEP, hi.copy(), f_lo.copy(), f_hi.copy()
     side = np.zeros(hi.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
     for _ in range(_FINISH_ROUNDS):
@@ -238,7 +248,7 @@ def _finish(tau: float, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: 
         o = np.flatnonzero(hi - lo > _FINISH_ULPS * ulp)
         if not o.size:
             break
-        a, b, fa, fb, d = lo[o], hi[o], f_lo[o], f_hi[o], _GUARD_ULPS * ulp[o]
+        a, b, fa, fb, d, t = lo[o], hi[o], f_lo[o], f_hi[o], _GUARD_ULPS * ulp[o], tau[o]
         w = b - a
         # fb < 0 <= fa puts the secant point in [a, b]; the clamp keeps it
         # and its guards strictly inside
@@ -249,12 +259,12 @@ def _finish(tau: float, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: 
         # width of that band, ulp(tau) / |slope|, or a quarter of the bracket
         flat = np.flatnonzero(fa == 0.0)
         if flat.size:
-            q = np.maximum(w[flat] * np.minimum(0.25, np.spacing(tau) / -fb[flat]), d[flat])
+            q = np.maximum(w[flat] * np.minimum(0.25, np.spacing(t[flat]) / -fb[flat]), d[flat])
             pts[flat] = a[flat, None] + q[:, None] * np.array([1.0, 2.0, 3.0])
         # the new bracket: the first point below tau among a, pts, b (b is)
         # and the point before it
         pts = np.column_stack((a, pts, b))
-        f = np.column_stack((fa, _gain_pq(pts[:, 1:4], g2[o, None]) - tau, fb))
+        f = np.column_stack((fa, _gain_pq(pts[:, 1:4], g2[o, None]) - t[:, None], fb))
         j = (f[:, 1:] < 0.0).argmax(axis=1) + 1
         r = np.arange(o.size)
         fa, fb = f[r, j - 1], f[r, j]
@@ -273,19 +283,28 @@ def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
     Traces the boundary of the main-lobe superlevel set; columns whose
     on-axis gain is already below tau return NaN (outside the region).
     Raises ``ValueError`` unless tau is a linear gain in (0, 1) and every
-    gamma2 is positive and finite.
+    gamma2 is positive and finite.  ``contours`` gets these same bits for all
+    of a run's thresholds from one shared march.
     """
-    _check_threshold(tau_linear, "main_lobe_boundary")
+    return _main_lobe_boundaries([tau_linear], gamma2)[0]
+
+
+def _main_lobe_boundaries(taus_linear, gamma2) -> np.ndarray:
+    """``main_lobe_boundary`` of each threshold, stacked on a leading axis,
+    from one march and one finish: each gain point is evaluated once."""
+    for tau in taus_linear:
+        _check_threshold(tau, "main_lobe_boundary")
     g2 = np.asarray(gamma2, dtype=float)
     bad = g2[~((g2 > 0.0) & (g2 < math.inf))]
     if bad.size:
         _check_positive(gamma2=float(bad.flat[0]))
-    hi, f_lo, f_hi = _march(tau_linear, g2.ravel())
-    live = np.flatnonzero(hi > 0.0)
+    taus = np.array(taus_linear, dtype=float)
+    hi, f_lo, f_hi = _march(taus, g2.ravel())
+    t, live = np.nonzero(hi > 0.0)
     cols = g2.ravel()[live]
-    out = np.full(g2.size, np.nan)
-    out[live] = _finish(tau_linear, cols, hi[live], f_lo[live], f_hi[live]) / cols
-    return out.reshape(g2.shape)
+    out = np.full((taus.size, g2.size), np.nan)
+    out[t, live] = _finish(taus[t], cols, hi[t, live], f_lo[t, live], f_hi[t, live]) / cols
+    return out.reshape(taus.shape + g2.shape)
 
 
 # x - sin(x) = x^3 * sum_k (-x^2)^k / (2k+3)!, summed to below one ulp for
@@ -423,6 +442,8 @@ def band_distance(
     If the gain already holds above tau over the whole scanned range, the
     scan floor is returned.  Along the ray p = gamma1*gamma2 =
     -fbar lbar sin(theta) is fixed, so the gain is evaluated at that p.
+    The far-field check and the scan do not depend on tau and are cached,
+    so a run's thresholds share them at each offset; each bisects alone.
     """
     _check_finite(f_hz=f_hz)
     _check_positive(fc_hz=fc_hz, aperture_m=aperture_m)
@@ -435,19 +456,12 @@ def band_distance(
     lbar = aperture_m / lam
     r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
     r_hi = 1e6 * fraunhofer_distance(lbar, lam)
-
-    p = abs(fbar * lbar * math.sin(theta_rad))
-
-    def gain(rbar):
-        return _gain_pq(p, _gamma_map(fbar, rbar, lbar, theta_rad)[1])
-
-    if gain(r_hi / lam) < tau_linear:
+    if _far_gain(fbar, lbar, theta_rad, r_hi / lam) < tau_linear:
         return math.inf
 
     decades = math.log10(r_hi / r_lo)
     n = max(int(math.ceil(decades * _BAND_POINTS_PER_DECADE)), 2) + 1
-    rbars = np.geomspace(r_lo / lam, r_hi / lam, n)
-    gains = gain(rbars)
+    rbars, gains = _scan(fbar, lbar, theta_rad, r_lo / lam, r_hi / lam, n)
     below = gains < tau_linear
     if not below.any():
         return r_lo
@@ -456,11 +470,32 @@ def band_distance(
     lo, hi = float(rbars[i]), float(rbars[i + 1])
     while (hi - lo) > _BAND_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if gain(mid) < tau_linear:
+        if _ray_gain(fbar, lbar, theta_rad, mid) < tau_linear:
             lo = mid
         else:
             hi = mid
     return hi * lam
+
+
+def _ray_gain(fbar: float, lbar: float, theta_rad: float, rbar):
+    """Gain at normalized distance(s) rbar along the ray of offset fbar."""
+    p = abs(fbar * lbar * math.sin(theta_rad))
+    return _gain_pq(p, _gamma_map(fbar, rbar, lbar, theta_rad)[1])
+
+
+@lru_cache(maxsize=4)
+def _far_gain(fbar: float, lbar: float, theta_rad: float, rbar_hi: float) -> float:
+    """``band_distance``'s far-field check: the gain at the scan's far end."""
+    return float(_ray_gain(fbar, lbar, theta_rad, rbar_hi))
+
+
+@lru_cache(maxsize=4)
+def _scan(fbar: float, lbar: float, theta_rad: float, rbar_lo: float, rbar_hi: float, n: int):
+    """``band_distance``'s scan: n log-spaced distances and their gains, read-only."""
+    rbars = np.geomspace(rbar_lo, rbar_hi, n)
+    gains = _ray_gain(fbar, lbar, theta_rad, rbars)
+    rbars.flags.writeable = gains.flags.writeable = False
+    return rbars, gains
 
 
 def effective_rayleigh_distance(theta_rad: float, lbar: float, wavelength_m: float) -> float:

@@ -195,6 +195,22 @@ def test_element_counts_must_be_whole():
         ArrayGeometry(8, 0.01, 1e9).aperture_m
 
 
+def test_element_count_must_match_the_regime():
+    # lbar = N * dbar already fixes N: 64 or 512 elements for a 128-element
+    # regime used to return a gain that belongs to no configuration
+    reg = Regime(0.01, 5000.0, 0.5, 64.0, 0.5)
+    assert gain_fresnel_sum(reg, 128) == pytest.approx(
+        gain_closed_form(*gamma_from_regime(reg)), abs=1e-3)
+    for bad in (64, 512, np.int64(127)):
+        with pytest.raises(ValueError, match="n_antennas"):
+            gain_fresnel_sum(reg, bad)
+    # the count's own errors come first
+    with pytest.raises(ValueError, match="whole number"):
+        gain_fresnel_sum(reg, 2.5)
+    with pytest.raises(ValueError, match="<= 1000000"):
+        gain_fresnel_sum(reg, 10**12)
+
+
 def test_element_counts_are_bounded(monkeypatch):
     # 10**400 elements used to be accepted until aperture_m overflowed, and
     # 10**12 made gain_fresnel_sum allocate terabytes; both must raise first

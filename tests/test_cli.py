@@ -7,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nearband
 import nearband.cli as cli
 from nearband.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
+from nearband.regimes import main_lobe_boundary
+from nearband.scenarios import parse_scenario
 from nearband.verify import PRODUCT_MAX_ANCHORS, PRODUCT_MAX_TOL
 
 MINIMAL = """\
@@ -110,6 +113,26 @@ def test_contours_output(tmp_path, scenario_file):
     for r in rows[:50]:
         tau_lin = 10 ** (float(r[0]) / 10)
         assert gain_closed_form(float(r[1]), float(r[2])) == pytest.approx(tau_lin, abs=1e-6)
+
+
+def test_contour_rows_equal_per_threshold_boundaries():
+    # contours marches all thresholds at once; each threshold's rows, a
+    # duplicate's too, must hold the bits of its own main_lobe_boundary
+    taus_db = (-2.0, -0.1, -2.0, -6.0, -10.0)
+    scenario = parse_scenario(MINIMAL, {"tau_list_db": ", ".join(map(str, taus_db))})
+    table, _ = cli.run_contours(scenario)
+    tau_col, g1_col, g2_col = table.data[:3]
+    grid = np.geomspace(1e-3, 6.0, cli._CONTOUR_GAMMA2_POINTS)
+    start = 0
+    for tau_db in taus_db:
+        g1 = main_lobe_boundary(10.0 ** (tau_db / 10.0), grid)
+        live = np.isfinite(g1)
+        rows = slice(start, start + int(live.sum()))
+        assert (tau_col[rows] == tau_db).all()
+        assert np.array_equal(g1_col[rows], g1[live])
+        assert np.array_equal(g2_col[rows], grid[live])
+        start = rows.stop
+    assert start == tau_col.size
 
 
 def test_bmax_curve_output(tmp_path, scenario_file):

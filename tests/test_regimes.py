@@ -407,6 +407,87 @@ def test_band_distance_deterministic():
     assert a == b
 
 
+_BAND_FC = 28e9
+_BAND_APERTURE = 64.0 * 0.5 * C / _BAND_FC
+_BAND_OFFSETS = (0.0, -0.0, 2e8, -2e8, 6e8, -1.2e9)  # finite, floor and inf results
+_BAND_TAUS = (0.9, 0.6, _db(-2.0))
+
+
+def _band_clear():
+    regimes_mod._far_gain.cache_clear()
+    regimes_mod._scan.cache_clear()
+
+
+def _band(f, tau):
+    return band_distance(f, _BAND_FC, tau, _BAND_APERTURE, 0.5).hex()
+
+
+def test_band_distance_is_the_same_cold_and_warm_in_any_order():
+    # each offset's far-field check and scan are cached for the thresholds
+    # that follow; no call order may change a bit, and neither may an
+    # offset of -0.0, which shares its cache entry with 0.0
+    pairs = [(f, tau) for f in _BAND_OFFSETS for tau in _BAND_TAUS]
+    cold = {}
+    for f, tau in pairs:
+        _band_clear()
+        cold[(math.copysign(1.0, f), f, tau)] = _band(f, tau)
+    results = set(cold.values())
+    assert "inf" in results and len(results) > 3
+    rng = np.random.default_rng(3)
+    orders = [pairs, pairs[::-1]] + [[pairs[i] for i in rng.permutation(len(pairs))]
+                                     for _ in range(3)]
+    for order in orders:
+        _band_clear()
+        for f, tau in order:
+            assert _band(f, tau) == cold[(math.copysign(1.0, f), f, tau)]
+    for tau in _BAND_TAUS:
+        assert cold[(1.0, 0.0, tau)] == cold[(-1.0, -0.0, tau)]
+
+
+def _count_kernel(monkeypatch):
+    calls = []
+    kernel = regimes_mod._gain_pq
+    monkeypatch.setattr(regimes_mod, "_gain_pq",
+                        lambda p, g2: calls.append(np.asarray(g2).copy()) or kernel(p, g2))
+    return calls
+
+
+def test_band_distance_inf_costs_one_kernel_call(monkeypatch):
+    # the far-field check alone decides inf; the scan is not built for it
+    _band_clear()
+    calls = _count_kernel(monkeypatch)
+    assert band_distance(-1.2e9, _BAND_FC, 0.9, _BAND_APERTURE, 0.5) == math.inf
+    assert len(calls) == 1
+    assert regimes_mod._scan.cache_info().currsize == 0
+
+
+def test_band_distance_thresholds_share_the_check_and_the_scan(monkeypatch):
+    _band_clear()
+    calls = _count_kernel(monkeypatch)
+    first = band_distance(2e8, _BAND_FC, 0.9, _BAND_APERTURE, 0.5)
+    assert math.isfinite(first)
+    far_g2, scan = calls[0], calls[1]
+    assert scan.size > 100
+    calls.clear()
+    second = band_distance(2e8, _BAND_FC, 0.6, _BAND_APERTURE, 0.5)
+    assert math.isfinite(second) and second != first
+    # a second threshold at the offset: no far-field call, no scan call,
+    # only the scalar bisection steps
+    assert regimes_mod._far_gain.cache_info().misses == 1
+    assert regimes_mod._scan.cache_info().misses == 1
+    assert calls and all(g2.size == 1 and float(g2) != float(far_g2) for g2 in calls)
+
+
+def test_band_scan_is_shared_read_only():
+    # the cache hands every caller the same arrays, so none may write them
+    _band_clear()
+    rbars, gains = regimes_mod._scan(0.01, 64.0, 0.5, 10.0, 1e7, 50)
+    assert regimes_mod._scan(0.01, 64.0, 0.5, 10.0, 1e7, 50)[1] is gains
+    for a in (rbars, gains):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # classical distances
 # ---------------------------------------------------------------------------
@@ -494,6 +575,56 @@ def test_march_brackets_equal_a_fixed_step_march(tau_db):
         march = regimes_mod._march(tau, g2)
         for got, want in zip(march, _fixed_step_march(tau, g2)):
             assert np.array_equal(got, want)
+
+
+# shallow and deep, a duplicate, and -10 dB alone live on the deepest columns
+_MIXED_TAUS = [_db(t) for t in (-0.2, -10.0, -3.0, -0.2, -6.0, -1.0)]
+
+
+@pytest.mark.parametrize("g2", [README_GAMMA2,
+                                np.geomspace(1e-3, 10.0, regimes_mod._GAMMA2_POINTS)])
+def test_march_of_several_thresholds_equals_one_at_a_time(g2):
+    # one march for all thresholds must give each the bracket, bit for bit,
+    # that its own march gives
+    taus = np.array(_MIXED_TAUS)
+    live = gain_narrowband(g2) >= taus[:, None]
+    assert (live.sum(axis=0) == 1).any()
+    march = regimes_mod._march(taus, g2)
+    for t, tau in enumerate(_MIXED_TAUS):
+        for got, want in zip(march, regimes_mod._march(tau, g2)):
+            assert got.shape == (taus.size, g2.size)
+            assert np.array_equal(got[t], want)
+
+
+def test_boundaries_of_several_thresholds_equal_one_at_a_time():
+    every = regimes_mod._main_lobe_boundaries(_MIXED_TAUS, README_GAMMA2)
+    assert every.shape == (len(_MIXED_TAUS), README_GAMMA2.size)
+    for tau, got in zip(_MIXED_TAUS, every):
+        assert np.array_equal(got, main_lobe_boundary(tau, README_GAMMA2), equal_nan=True)
+
+
+def test_several_thresholds_share_kernel_calls(monkeypatch):
+    # each gain point is evaluated once, so the README's three thresholds
+    # take fewer kernel calls together than in three separate solves
+    calls = _count_kernel(monkeypatch)
+    taus = [_db(t) for t in (-0.2, -1.0, -2.0)]
+    regimes_mod._main_lobe_boundaries(taus, README_GAMMA2)
+    shared = len(calls)
+    for tau in taus:
+        main_lobe_boundary(tau, README_GAMMA2)
+    assert shared < len(calls) - shared
+
+
+def test_no_crossing_error_names_the_failing_threshold(monkeypatch):
+    # capped at p = 3, -20 dB finds no crossing on the contours grid where
+    # 0.9 and 0.5 do; the error names it as a float, not the array
+    monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", 3.0)
+    message = r"tau=0\.01 for gamma1\*gamma2 <= 3\.0$"
+    with pytest.raises(NoCrossingError, match=message):
+        regimes_mod._main_lobe_boundaries([0.9, 0.01, 0.5], README_GAMMA2)
+    with pytest.raises(NoCrossingError, match=message):
+        main_lobe_boundary(0.01, README_GAMMA2)
+    assert np.isfinite(main_lobe_boundary(0.5, README_GAMMA2)).any()
 
 
 @pytest.mark.parametrize("tau_db", [-3.0, -6.0, -10.0])

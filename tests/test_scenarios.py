@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from nearband.regimes import ThresholdSpec
@@ -271,7 +271,8 @@ _EDGE_INTS = [0, -1, 1, -(2 ** 63), 2 ** 63 - 1, 10 ** 16]
 
 @pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049, 4097, 8191, 8192, 8193,
                                     3 * 8192 + 5])
-@settings(max_examples=8)
+# no shrink phase: minimising examples of up to 24,581 rows runs for minutes
+@settings(max_examples=8, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
     floats=st.lists(st.floats(allow_nan=False).filter(lambda v: v != -math.inf), max_size=12),
     ints=st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), max_size=12),
