@@ -1,4 +1,4 @@
-"""Cold product_max at every 0.25 dB step on [-10, -0.1] dB.
+"""Cold product_max at every 0.25 dB step on [-11.25, -0.1] dB.
 
 For each threshold prints tau_db, product_max as float.hex and as a
 decimal and the kernel rounds (calls of the gain kernel) the solve took,
@@ -28,7 +28,7 @@ import nearband.regimes as regimes
 
 COMMITTED = Path(__file__).resolve().with_name("solver_sweep.csv")
 HEADER = "tau_db,product_max_hex,product_max,rounds"
-TAUS_DB = [-10.0 + 0.25 * k for k in range(40)] + [-0.1]
+TAUS_DB = [-11.25 + 0.25 * k for k in range(45)] + [-0.1]
 TOL_ULP = 4
 
 

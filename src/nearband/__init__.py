@@ -8,14 +8,13 @@ aperture-bandwidth product, maximum usable bandwidth, and the
 frequency-selective near-field boundary distance.
 """
 
-from . import arrays, constants, fresnel, regimes, scenarios
+from . import arrays, constants, fresnel, regimes
 from .arrays import *  # noqa: F403
 from .constants import *  # noqa: F403
 from .fresnel import *  # noqa: F403
 from .regimes import *  # noqa: F403
-from .scenarios import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = ["__version__", *arrays.__all__, *constants.__all__, *fresnel.__all__,
-           *regimes.__all__, *scenarios.__all__]
+           *regimes.__all__]

@@ -129,7 +129,7 @@ def _path_minus_center(geom: ArrayGeometry, point: ObserverPoint, variant: str) 
     if variant.startswith("ff"):
         return -d_n * sin_t
     r = point.range_m
-    r_n = distance_to_rx(geom, point)
+    r_n = _element_distances(d_n, r, point.angle_rad)
     return (d_n * d_n - 2.0 * r * d_n * sin_t) / (r_n + r)
 
 

@@ -22,8 +22,9 @@ Evaluation is piecewise, tuned so the absolute error stays well below
 Both integrals are odd; negative arguments are folded by sign so the
 identities C(-x) = -C(x), S(-x) = -S(x) hold bit-exactly.
 
-Arrays are evaluated in blocks of 8192 points (bounding every temporary);
-each branch runs its pair of series as one stacked recurrence.
+Arrays are evaluated in blocks of 8192 points (``_BLOCK``), which bounds
+every temporary; a gain block takes C and S at all its x+- in one pass.
+Each branch runs its pair of series as one stacked recurrence.
 
 The gain surface G depends on gamma1 only through p = |gamma1|*gamma2.
 Where x+- = |gamma1| +- gamma2 both lie in the auxiliary branches, G is
@@ -59,8 +60,6 @@ _SERIES_MAX = 1.6
 _AUX_MAX = 6.0
 _HUGE = 1e10
 
-# fresnel_cs evaluates its input in blocks of this many points, which
-# bounds the size of every temporary.
 _BLOCK = 8192
 
 # gain_closed_form switches to its gamma2 -> 0 limit when 2*gamma2 falls
@@ -287,6 +286,15 @@ def _fresnel_cs_block(x: np.ndarray, c_out: np.ndarray, s_out: np.ndarray) -> No
     s_out *= sign
 
 
+def _by_block(kernel, *arrays) -> None:
+    """kernel(*arrays) on each _BLOCK-point slice of flat arrays of one size
+    (its inputs, then the outputs it writes), directly when they fit one."""
+    if arrays[0].size <= _BLOCK:
+        return kernel(*arrays)
+    for i in range(0, arrays[0].size, _BLOCK):
+        kernel(*(a[i:i + _BLOCK] for a in arrays))
+
+
 def fresnel_cs(x):
     """Both Fresnel integrals ``(C(x), S(x))`` in one pass.
 
@@ -299,29 +307,15 @@ def fresnel_cs(x):
     flat = arr.ravel()
     c = np.empty_like(flat)
     s = np.empty_like(flat)
-    for i in range(0, flat.size, _BLOCK):
-        block = slice(i, i + _BLOCK)
-        _fresnel_cs_block(flat[block], c[block], s[block])
+    _by_block(_fresnel_cs_block, flat, c, s)
     if arr.ndim == 0:
         return float(c[0]), float(s[0])
     return c.reshape(arr.shape), s.reshape(arr.shape)
 
 
-def _gain(g1: np.ndarray, g2: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """G at gamma1 = g1 >= 0, gamma2 = g2 >= 0 and p = g1*g2 (flat arrays
-    of one size, already validated), in blocks of the Fresnel block size."""
-    out = np.empty(g1.shape)
-    if out.size <= _BLOCK:
-        _gain_block(g1, g2, p, out)
-        return out
-    for i in range(0, out.size, _BLOCK):
-        block = slice(i, i + _BLOCK)
-        _gain_block(g1[block], g2[block], p[block], out[block])
-    return out
-
-
 def _gain_block(g1: np.ndarray, g2: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """Write G into out.
+    """Write G at gamma1 = g1 >= 0, gamma2 = g2 >= 0 and p = g1*g2 into out
+    (flat arrays of one size, already validated).
 
     Where x+- = g1 +- g2 both lie in (1.6, 1e10), writing C + jS through the
     auxiliary functions f, g drops the common phase pi (g1^2 + g2^2) / 2:
@@ -358,7 +352,8 @@ def _gain_block(g1: np.ndarray, g2: np.ndarray, p: np.ndarray, out: np.ndarray) 
     n = np.count_nonzero(rest)
     if n:
         sel = slice(None) if n == out.size else rest
-        c, s = fresnel_cs(np.concatenate((xp[sel], xm[sel])))
+        c, s = np.empty((2, 2 * n))
+        _fresnel_cs_block(np.concatenate((xp[sel], xm[sel])), c, s)
         out[sel] = np.hypot(c[:n] - c[n:], s[:n] - s[n:]) / (2.0 * g2[sel])
 
 
@@ -368,7 +363,9 @@ def _gain_pq(p, gamma2) -> np.ndarray:
     p, g2 = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(gamma2, dtype=float))
     shape = p.shape
     p, g2 = p.ravel(), g2.ravel()
-    return _gain(p / g2, g2, p).reshape(shape)
+    out = np.empty(p.shape)
+    _by_block(_gain_block, p / g2, g2, p, out)
+    return out.reshape(shape)
 
 
 def gain_closed_form(gamma1, gamma2):
@@ -393,7 +390,9 @@ def gain_closed_form(gamma1, gamma2):
 
     g1, g2 = np.broadcast_arrays(np.abs(g1), g2)
     a1, a2 = g1.ravel(), g2.ravel()
-    out = _gain(a1, a2, a1 * a2).reshape(g1.shape)
+    out = np.empty(a1.shape)
+    _by_block(_gain_block, a1, a2, a1 * a2, out)
+    out = out.reshape(g1.shape)
     if out.ndim == 0:
         return float(out)
     return out

@@ -215,18 +215,18 @@ def _march(tau, g2: np.ndarray):
     return hi, f_lo, f_hi
 
 
-def _top_level_march(tau: float, g2: np.ndarray, live: np.ndarray):
+def _top_level_march(tau: float, g2: np.ndarray):
     """``_march``'s brackets on every column of the top grid level (the
     largest hi), and on some lower columns; hi is 0 on the columns not
-    marched.  ``live`` marks the columns whose on-axis gain is at or above
-    tau.  Every _COARSE_STRIDE-th column is marched and gives a level h0;
-    another live column is marched only if its gain at the grid point below
-    h0 is at or above tau, since otherwise it crosses below h0."""
+    marched.  Every _COARSE_STRIDE-th column is marched and gives a level
+    h0; another column is marched only if its gain at the grid point below
+    h0 is at or above tau, since otherwise it crosses below h0.  ``_march``
+    drops the columns whose on-axis gain is below tau."""
     hi, f_lo, f_hi = np.zeros_like(g2), np.zeros_like(g2), np.zeros_like(g2)
     coarse = np.zeros(g2.size, dtype=bool)
     coarse[::_COARSE_STRIDE] = True
     hi[coarse], f_lo[coarse], f_hi[coarse] = _march(tau, g2[coarse])
-    rest = np.flatnonzero(~coarse & live)
+    rest = np.flatnonzero(~coarse)
     k0 = round(hi.max() / _PRODUCT_STEP)
     if k0 > 1:  # below that, the grid point is p = 0, where every live column holds
         rest = rest[_gain_pq(_PRODUCT_STEP * (k0 - 1), g2[rest]) >= tau]
@@ -277,34 +277,35 @@ def _finish(tau, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndar
     return 0.5 * (lo + hi)
 
 
-def main_lobe_boundary(tau_linear: float, gamma2: np.ndarray) -> np.ndarray:
+def main_lobe_boundary(tau_linear, gamma2: np.ndarray) -> np.ndarray:
     """First tau-crossing gamma1 >= 0 per gamma2 column.
 
     Traces the boundary of the main-lobe superlevel set; columns whose
     on-axis gain is already below tau return NaN (outside the region).
-    Raises ``ValueError`` unless tau is a linear gain in (0, 1) and every
-    gamma2 is positive and finite.  ``contours`` gets these same bits for all
-    of a run's thresholds from one shared march.
+    ``tau_linear`` is one threshold or a 1-D sequence of them; a sequence
+    returns one row per threshold, stacked on a leading axis, from one march
+    and one finish, so each gain point is evaluated once and each row has
+    the bits of its own one-threshold call.  Raises ``ValueError`` unless
+    every tau is a linear gain in (0, 1) and every gamma2 is positive and
+    finite.
     """
-    return _main_lobe_boundaries([tau_linear], gamma2)[0]
-
-
-def _main_lobe_boundaries(taus_linear, gamma2) -> np.ndarray:
-    """``main_lobe_boundary`` of each threshold, stacked on a leading axis,
-    from one march and one finish: each gain point is evaluated once."""
-    for tau in taus_linear:
+    taus = np.array(tau_linear, dtype=float)
+    if taus.ndim > 1:
+        raise ValueError("main_lobe_boundary takes one threshold or a 1-D sequence of them")
+    for tau in [tau_linear] if taus.ndim == 0 else tau_linear:
         _check_threshold(tau, "main_lobe_boundary")
     g2 = np.asarray(gamma2, dtype=float)
     bad = g2[~((g2 > 0.0) & (g2 < math.inf))]
     if bad.size:
         _check_positive(gamma2=float(bad.flat[0]))
-    taus = np.array(taus_linear, dtype=float)
-    hi, f_lo, f_hi = _march(taus, g2.ravel())
+    taus, cols = taus.reshape(-1), g2.ravel()
+    hi, f_lo, f_hi = _march(taus, cols)
     t, live = np.nonzero(hi > 0.0)
-    cols = g2.ravel()[live]
     out = np.full((taus.size, g2.size), np.nan)
-    out[t, live] = _finish(taus[t], cols, hi[t, live], f_lo[t, live], f_hi[t, live]) / cols
-    return out.reshape(taus.shape + g2.shape)
+    out[t, live] = _finish(taus[t], cols[live], hi[t, live], f_lo[t, live],
+                           f_hi[t, live]) / cols[live]
+    out = out.reshape(taus.shape + g2.shape)
+    return out if np.ndim(tau_linear) else out[0]
 
 
 # x - sin(x) = x^3 * sum_k (-x^2)^k / (2k+3)!, summed to below one ulp for
@@ -357,35 +358,31 @@ def product_max(tau_linear: float) -> float:
     The supremum is at least :func:`far_field_product`, the gamma2 -> 0
     limit of the boundary.  It certifies that limit first on a log grid of
     gamma2 over [1e-3, 1/tau]: a column whose gain at p_ff is below tau
-    crosses tau at or before p_ff.  G(p_ff) is evaluated first, and the
-    on-axis gain, which tells the live columns, only when some column
-    reaches tau at p_ff.  When every live column crosses by p_ff, the
-    result is p_ff itself (above about -2.81 dB).  Otherwise it finds the
-    first tau-crossing product on the columns of the top grid level,
+    crosses tau at or before p_ff, so when no column reaches tau at p_ff
+    the result is p_ff itself (above about -2.81 dB).  Otherwise it finds
+    the first tau-crossing product on the columns of the top grid level,
     marching only the columns that can reach it (every 16th column sets a
     level; another is marched only if its gain one grid point below that
     level is still at or above tau), re-solves on linear brackets around
     the maximizer, each round spanning the two neighbouring grid cells,
-    and returns the larger of that and p_ff.  No column beyond 1/tau can
-    hold gain >= tau, since max|C + jS| < 1 bounds the on-axis gain by
+    and returns the larger of that and p_ff.  The march alone tells the
+    live columns, by their on-axis gain.  No column beyond 1/tau can hold
+    gain >= tau, since max|C + jS| < 1 bounds the on-axis gain by
     1/gamma2.  Raises ``ValueError`` when tau is not a linear gain in
     (0, 1) and ``NoCrossingError`` when a crossing lies beyond the march
-    limit.
+    limit p = 64: -11.25 dB still solves (62.40), while -11.3 dB raises, as
+    every deeper threshold tried down to -50 dB does.
     """
     _check_threshold(tau_linear, "product_max")
     p_ff = far_field_product(tau_linear)
     g2 = np.geomspace(_GAMMA2_FLOOR, 1.0 / tau_linear, _GAMMA2_POINTS)
-    reach = _gain_pq(p_ff, g2) >= tau_linear
-    if not reach.any():
-        return p_ff
-    live = gain_narrowband(g2) >= tau_linear
-    if not (reach & live).any():
+    if not (_gain_pq(p_ff, g2) >= tau_linear).any():
         return p_ff
     best = 0.0
     for r in range(_REFINE_ROUNDS + 1):
         # a column one grid level below the top crosses before the top
         # level's lower bracket end, so only the top level can hold the maximum
-        hi, f_lo, f_hi = _march(tau_linear, g2) if r else _top_level_march(tau_linear, g2, live)
+        hi, f_lo, f_hi = _march(tau_linear, g2) if r else _top_level_march(tau_linear, g2)
         top = np.flatnonzero((hi == hi.max()) & (hi > 0.0))
         products = np.zeros_like(g2)
         products[top] = _finish(tau_linear, g2[top], hi[top], f_lo[top], f_hi[top])

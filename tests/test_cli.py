@@ -135,6 +135,20 @@ def test_contour_rows_equal_per_threshold_boundaries():
     assert start == tau_col.size
 
 
+def test_contours_makes_one_boundary_call_for_every_threshold(monkeypatch):
+    calls = []
+
+    def boundary(taus, gamma2):
+        calls.append(list(taus))
+        return main_lobe_boundary(taus, gamma2)
+
+    monkeypatch.setattr(cli, "main_lobe_boundary", boundary)
+    scenario = parse_scenario(MINIMAL)
+    cli.run_contours(scenario)
+    assert calls == [[tau.tau_linear for tau in scenario.taus]]
+    assert len(calls[0]) == 3
+
+
 def test_bmax_curve_output(tmp_path, scenario_file):
     cfg = scenario_file(TAU_SWEEP)
     out = tmp_path / "bmax.csv"
@@ -373,6 +387,15 @@ def test_usage_errors(tmp_path, scenario_file, capsys):
                  "--set", "oops"]) == EXIT_USAGE
     # wrong sweep axis for the command
     assert main(["band-map", "--scenario", str(cfg), "--out", out]) == EXIT_USAGE
+    # and bmax-curve on an offset sweep names the key
+    band = scenario_file(BAND_SWEEP, "band.cfg")
+    capsys.readouterr()
+    assert main(["bmax-curve", "--scenario", str(band), "--out", out]) == EXIT_USAGE
+    assert "nearband: sweep.axis: bmax-curve requires a tau_db sweep" in capsys.readouterr().err
+    # an output path inside a missing directory
+    missing = str(tmp_path / "missing" / "x.csv")
+    assert main(["gain-surface", "--scenario", str(cfg), "--out", missing]) == EXIT_USAGE
+    assert "nearband: cannot write output" in capsys.readouterr().err
     # a negative cut gamma2 is a scenario error, not a computation error
     assert main(["gain-cuts", "--scenario", str(cfg), "--out", out,
                  "--set", "cuts.gamma2_values=-0.5"]) == EXIT_USAGE

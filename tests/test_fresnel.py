@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nearband.fresnel as fresnel_mod
+import nearband.oracle as oracle_mod
 from nearband.fresnel import (
     SMALL_GAMMA2_CUTOFF,
     fresnel_cs,
@@ -79,6 +80,17 @@ def test_oracle_agreement_sampled():
     c, s = fresnel_cs(xs)
     assert np.abs(c - qc).max() <= 1e-9
     assert np.abs(s - qs).max() <= 1e-9
+
+
+@pytest.mark.parametrize("points", [[0.0, 12.0], [0.0, 3.0, 29.5]])
+def test_oracle_splits_panels_too_coarse_for_one_round(points):
+    # one K15 panel cannot hold these spans to tolerance, so the oracle
+    # bisects them; the cumulative integrals still match the kernel
+    points = np.array(points)
+    value = np.cumsum(oracle_mod._integrate_panels(points))
+    c, s = fresnel_cs(points[1:])
+    assert np.abs(value.real - c).max() <= 1e-12
+    assert np.abs(value.imag - s).max() <= 1e-12
 
 
 def test_branch_boundaries_are_continuous():

@@ -10,9 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nearband import parse_scenario
 from nearband.cli import EXIT_OK, main
 from nearband.fresnel import gain_closed_form, to_db
+from nearband.scenarios import parse_scenario
 
 from _oracles import csv_rows
 

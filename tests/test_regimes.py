@@ -597,7 +597,7 @@ def test_march_of_several_thresholds_equals_one_at_a_time(g2):
 
 
 def test_boundaries_of_several_thresholds_equal_one_at_a_time():
-    every = regimes_mod._main_lobe_boundaries(_MIXED_TAUS, README_GAMMA2)
+    every = main_lobe_boundary(_MIXED_TAUS, README_GAMMA2)
     assert every.shape == (len(_MIXED_TAUS), README_GAMMA2.size)
     for tau, got in zip(_MIXED_TAUS, every):
         assert np.array_equal(got, main_lobe_boundary(tau, README_GAMMA2), equal_nan=True)
@@ -608,7 +608,7 @@ def test_several_thresholds_share_kernel_calls(monkeypatch):
     # take fewer kernel calls together than in three separate solves
     calls = _count_kernel(monkeypatch)
     taus = [_db(t) for t in (-0.2, -1.0, -2.0)]
-    regimes_mod._main_lobe_boundaries(taus, README_GAMMA2)
+    main_lobe_boundary(taus, README_GAMMA2)
     shared = len(calls)
     for tau in taus:
         main_lobe_boundary(tau, README_GAMMA2)
@@ -621,7 +621,7 @@ def test_no_crossing_error_names_the_failing_threshold(monkeypatch):
     monkeypatch.setattr(regimes_mod, "_PRODUCT_LIMIT", 3.0)
     message = r"tau=0\.01 for gamma1\*gamma2 <= 3\.0$"
     with pytest.raises(NoCrossingError, match=message):
-        regimes_mod._main_lobe_boundaries([0.9, 0.01, 0.5], README_GAMMA2)
+        main_lobe_boundary([0.9, 0.01, 0.5], README_GAMMA2)
     with pytest.raises(NoCrossingError, match=message):
         main_lobe_boundary(0.01, README_GAMMA2)
     assert np.isfinite(main_lobe_boundary(0.5, README_GAMMA2)).any()
@@ -634,7 +634,7 @@ def test_top_level_march_keeps_the_top_level(tau_db):
     tau = _db(tau_db)
     g2 = np.geomspace(regimes_mod._GAMMA2_FLOOR, 1.0 / tau, regimes_mod._GAMMA2_POINTS)
     full = regimes_mod._march(tau, g2)
-    pruned = regimes_mod._top_level_march(tau, g2, gain_narrowband(g2) >= tau)
+    pruned = regimes_mod._top_level_march(tau, g2)
     top = np.flatnonzero(full[0] == full[0].max())
     assert np.array_equal(np.flatnonzero(pruned[0] == pruned[0].max()), top)
     for got, want in zip(pruned, full):
@@ -686,6 +686,14 @@ def test_main_lobe_boundary_against_40_digit_gain(tau_db):
     assert inside.size >= 20
     residual = max(abs(float(gain_40(g1[i], g2[i]) - tau)) for i in inside)
     assert residual <= 2e-15
+
+
+def test_product_max_deep_threshold_edge():
+    # -11.25 dB still crosses before the march limit p = 64; at -11.3 dB
+    # some live column keeps its gain above tau up to it
+    assert product_max.__wrapped__(_db(-11.25)) == pytest.approx(62.40001863079574, rel=1e-12)
+    with pytest.raises(NoCrossingError, match=r"for gamma1\*gamma2 <= 64\.0$"):
+        product_max.__wrapped__(_db(-11.3))
 
 
 def test_solver_rounds(monkeypatch):

@@ -82,6 +82,11 @@ def test_n261_preset_carrier():
     (lambda d: d + "\n[sweep]\naxis = f_hz\nmin = -1\nmax = 1\npoints = 4\nscale = log\n",
      "log scale requires positive"),
     (lambda d: d + "\n[cuts]\ngamma2_values = -0.5\n", "cuts.gamma2_values: must be nonnegative"),
+    (lambda d: d + "tau_list_db = ,\n", "scenario.tau_list_db: expected at least one number"),
+    (lambda d: "[DEFAULT]\nn_antennas = 8\n" + d, r"keys outside a \[section\] are not allowed"),
+    (lambda d: "[grid]\ngamma1_max = 2.0\n", r"missing required section \[scenario\]"),
+    (lambda d: d.replace("schema_version = 1\n", ""),
+     "scenario.schema_version: required key is missing"),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_rejections(mutation, fragment):
     with pytest.raises(ScenarioError, match=fragment.replace("|", r"\|")):
