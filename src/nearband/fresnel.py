@@ -379,7 +379,8 @@ def gain_closed_form(gamma1, gamma2):
     ``2*gamma2 < SMALL_GAMMA2_CUTOFF`` it is the gamma2 -> 0 limit at fixed
     p, |sinc(p)|, which is exact up to O(g2^4) terms.
 
-    Raises ``ValueError`` for negative gamma2 or non-finite input.
+    Raises ``ValueError`` for negative gamma2, non-finite input, or input
+    whose |gamma1|*gamma2, |gamma1| + gamma2 or 2*gamma2 overflows.
     """
     g1 = np.asarray(gamma1, dtype=float)
     g2 = np.asarray(gamma2, dtype=float)
@@ -390,8 +391,12 @@ def gain_closed_form(gamma1, gamma2):
 
     g1, g2 = np.broadcast_arrays(np.abs(g1), g2)
     a1, a2 = g1.ravel(), g2.ravel()
+    with np.errstate(over="ignore"):
+        p = a1 * a2  # finite p also keeps |gamma1| + gamma2 finite
+    if not (np.isfinite(p).all() and 2.0 * float(a2.max(initial=0.0)) < np.inf):
+        raise ValueError("|gamma1|*gamma2, |gamma1| + gamma2 or 2*gamma2 overflows")
     out = np.empty(a1.shape)
-    _by_block(_gain_block, a1, a2, a1 * a2, out)
+    _by_block(_gain_block, a1, a2, p, out)
     out = out.reshape(g1.shape)
     if out.ndim == 0:
         return float(out)

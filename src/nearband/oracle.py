@@ -140,15 +140,9 @@ def quadrature_cs(x):
 
     segment = _integrate_panels(points)
     prefix = np.concatenate([[0.0 + 0.0j], np.cumsum(segment)])
-    value_at = dict(zip(points.tolist(), prefix.tolist()))
-
-    c = np.empty(arr.shape)
-    s = np.empty(arr.shape)
-    flat_c, flat_s = c.ravel(), s.ravel()
-    for i, xi in enumerate(arr.ravel()):
-        v = value_at[abs(xi)] if xi != 0 else 0.0
-        flat_c[i] = np.sign(xi) * v.real if xi != 0 else 0.0
-        flat_s[i] = np.sign(xi) * v.imag if xi != 0 else 0.0
+    # every magnitude is a breakpoint, and sign(+-0.0) = 0.0 gives C = S = 0.0
+    sign, v = np.sign(arr), prefix[np.searchsorted(points, mags)]
+    c, s = sign * v.real, sign * v.imag
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(c[0]), float(s[0])
     return c, s

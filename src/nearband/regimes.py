@@ -234,14 +234,15 @@ def _top_level_march(tau: float, g2: np.ndarray):
     return hi, f_lo, f_hi
 
 
-def _finish(tau, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
-    """Midpoint of each bracket [hi - _PRODUCT_STEP, hi] from ``_march``,
-    narrowed to 8 ulp (at most 48 rounds) by bracketed secant steps.  ``tau``
-    is one threshold or one per column.  Each column is refined on its own
-    values, so its result does not depend on which other columns share the
-    call."""
+def _finish(tau, gain, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndarray):
+    """Midpoint of each bracket [lo, hi], where f = G - tau is >= 0 at lo and
+    < 0 at hi, narrowed to 8 ulp (at most 48 rounds) by bracketed secant
+    steps.  ``gain(x, rows)`` returns G at the probe points x, one row of
+    them per open bracket, of the brackets numbered ``rows``.  ``tau`` is
+    one threshold or one per bracket.  Each bracket is refined on its own
+    values, so its result does not depend on which others share the call."""
     tau = np.broadcast_to(tau, hi.shape)
-    lo, hi, f_lo, f_hi = hi - _PRODUCT_STEP, hi.copy(), f_lo.copy(), f_hi.copy()
+    lo, hi, f_lo, f_hi = lo.copy(), hi.copy(), f_lo.copy(), f_hi.copy()
     side = np.zeros(hi.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
     for _ in range(_FINISH_ROUNDS):
         ulp = np.spacing(hi)
@@ -264,7 +265,7 @@ def _finish(tau, g2: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: np.ndar
         # the new bracket: the first point below tau among a, pts, b (b is)
         # and the point before it
         pts = np.column_stack((a, pts, b))
-        f = np.column_stack((fa, _gain_pq(pts[:, 1:4], g2[o, None]) - t[:, None], fb))
+        f = np.column_stack((fa, gain(pts[:, 1:4], o) - t[:, None], fb))
         j = (f[:, 1:] < 0.0).argmax(axis=1) + 1
         r = np.arange(o.size)
         fa, fb = f[r, j - 1], f[r, j]
@@ -302,8 +303,9 @@ def main_lobe_boundary(tau_linear, gamma2: np.ndarray) -> np.ndarray:
     hi, f_lo, f_hi = _march(taus, cols)
     t, live = np.nonzero(hi > 0.0)
     out = np.full((taus.size, g2.size), np.nan)
-    out[t, live] = _finish(taus[t], cols[live], hi[t, live], f_lo[t, live],
-                           f_hi[t, live]) / cols[live]
+    g2_live, hi = cols[live], hi[t, live]
+    out[t, live] = _finish(taus[t], lambda x, rows: _gain_pq(x, g2_live[rows, None]),
+                           hi - _PRODUCT_STEP, hi, f_lo[t, live], f_hi[t, live]) / g2_live
     out = out.reshape(taus.shape + g2.shape)
     return out if np.ndim(tau_linear) else out[0]
 
@@ -385,7 +387,9 @@ def product_max(tau_linear: float) -> float:
         hi, f_lo, f_hi = _march(tau_linear, g2) if r else _top_level_march(tau_linear, g2)
         top = np.flatnonzero((hi == hi.max()) & (hi > 0.0))
         products = np.zeros_like(g2)
-        products[top] = _finish(tau_linear, g2[top], hi[top], f_lo[top], f_hi[top])
+        g2_top, hi = g2[top], hi[top]
+        products[top] = _finish(tau_linear, lambda x, rows: _gain_pq(x, g2_top[rows, None]),
+                                hi - _PRODUCT_STEP, hi, f_lo[top], f_hi[top])
         i = int(products.argmax())
         best = max(best, float(products[i]))
         g2 = np.linspace(g2[max(i - 1, 0)], g2[min(i + 1, g2.size - 1)], _REFINE_POINTS)
@@ -417,7 +421,6 @@ def bmax(aperture_m: float, tau_linear: float, theta_worst_rad: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BAND_POINTS_PER_DECADE = 64
-_BAND_REL_TOL = 1e-6
 
 
 def band_distance(
@@ -430,17 +433,17 @@ def band_distance(
     """Smallest distance (m) beyond which the gain stays >= tau at offset f.
 
     Scans log-spaced distances from the Fresnel-region floor up to 1e6x
-    the Fraunhofer distance, locates the largest down-crossing of tau and
-    refines it by bisection to a relative tolerance of 1e-6.  Returns the
-    ``inf`` sentinel when no finite distance qualifies: past the far-field
-    edge |f| > far_field_product(tau) * fc / (lbar |sin theta|), where the
+    the Fraunhofer distance and locates the largest down-crossing of tau.
+    Along the ray p = gamma1*gamma2 = -fbar lbar sin(theta) is fixed, and
+    the crossing's scan cell is finished in gamma2 by the solvers' shared
+    secant, to a few ulp, and mapped back to metres.  Returns the ``inf``
+    sentinel when no finite distance qualifies: past the far-field edge
+    |f| > far_field_product(tau) * fc / (lbar |sin theta|), where the
     large-distance gain limit falls below tau.  That edge is B_max/2 only
     where product_max equals the far-field root (above about -2.81 dB).
     If the gain already holds above tau over the whole scanned range, the
-    scan floor is returned.  Along the ray p = gamma1*gamma2 =
-    -fbar lbar sin(theta) is fixed, so the gain is evaluated at that p.
-    The far-field check and the scan do not depend on tau and are cached,
-    so a run's thresholds share them at each offset; each bisects alone.
+    scan floor is returned.  The far-field check and the scan do not depend
+    on tau and are cached, so a run's thresholds share them at each offset.
     """
     _check_finite(f_hz=f_hz)
     _check_positive(fc_hz=fc_hz, aperture_m=aperture_m)
@@ -464,14 +467,12 @@ def band_distance(
         return r_lo
     i = int(np.flatnonzero(below)[-1])
 
-    lo, hi = float(rbars[i]), float(rbars[i + 1])
-    while (hi - lo) > _BAND_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if _ray_gain(fbar, lbar, theta_rad, mid) < tau_linear:
-            lo = mid
-        else:
-            hi = mid
-    return hi * lam
+    # the gain falls as gamma2 grows: the cell's far end is the bracket's lower end
+    g2 = _gamma_map(fbar, rbars[i:i + 2], lbar, theta_rad)[1]
+    f = gains[i:i + 2] - tau_linear
+    p = abs(fbar * lbar * math.sin(theta_rad))
+    x = _finish(tau_linear, lambda x, rows: _gain_pq(p, x), g2[1:], g2[:1], f[1:], f[:1])[0]
+    return float(lam * 0.5 * (1.0 + fbar) * (lbar * math.cos(theta_rad) / x) ** 2)
 
 
 def _ray_gain(fbar: float, lbar: float, theta_rad: float, rbar):

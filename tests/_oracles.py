@@ -98,6 +98,29 @@ def first_crossing_root(tau_linear, gamma2, lo, hi):
         return float(root)
 
 
+def band_crossing_40(f_hz, fc_hz, tau_linear, aperture_m, theta_rad, lo, hi):
+    """The distance r in [lo, hi] (metres) where the gain along the ray of
+    offset f_hz equals tau at 40 digits, rounded to a float.  The ray holds
+    p = |fbar lbar sin(theta)| fixed while gamma2 = lbar cos(theta)
+    sqrt((1 + fbar) / (2 r / lambda)) falls with r; G - tau must change
+    sign from below to at or above tau on the bracket."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(C_M_S) / mpmath.mpf(fc_hz)
+        fbar = mpmath.mpf(f_hz) / mpmath.mpf(fc_hz)
+        lbar = mpmath.mpf(aperture_m) / lam
+        theta, tau = mpmath.mpf(theta_rad), mpmath.mpf(tau_linear)
+        p = abs(fbar * lbar * mpmath.sin(theta))
+
+        def excess(r):
+            g2 = lbar * mpmath.cos(theta) * mpmath.sqrt((1 + fbar) * lam / (2 * r))
+            return gain_40(p / g2, g2) - tau
+
+        assert excess(mpmath.mpf(lo)) < 0 <= excess(mpmath.mpf(hi))
+        root = mpmath.findroot(excess, (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        assert lo <= root <= hi
+        return float(root)
+
+
 def random_fresnel_configs(rng, count, n_choices=(128, 192, 256, 384, 512)):
     """Seeded configurations with >= 4x margin over the Fresnel threshold.
 

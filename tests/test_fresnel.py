@@ -167,6 +167,16 @@ def test_gain_negative_gamma2_rejected():
         gain_narrowband(-1e-9)
 
 
+@pytest.mark.parametrize("g1, g2", [(1e308, 1e308), (0.0, 1e308), (1e160, 1e160)])
+def test_gain_overflowing_input_rejected(g1, g2):
+    # finite input whose |gamma1|*gamma2, |gamma1| + gamma2 or 2*gamma2
+    # overflows is named, without an overflow warning, not evaluated to 0
+    with pytest.raises(ValueError, match="overflows"):
+        gain_closed_form(g1, g2)
+    with pytest.raises(ValueError, match="overflows"):
+        gain_closed_form(np.array([0.5, -g1]), np.array([0.5, g2]))
+
+
 def test_gain_continuity_at_cutoff():
     g1 = np.linspace(-6.0, 6.0, 25)
     just_below = (SMALL_GAMMA2_CUTOFF / 2) * (1 - 1e-9)

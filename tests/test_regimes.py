@@ -25,7 +25,7 @@ from nearband.regimes import (
     product_max,
 )
 
-from _oracles import first_crossing_root, gain_40, sinc_threshold_root
+from _oracles import band_crossing_40, first_crossing_root, gain_40, sinc_threshold_root
 
 
 def _db(db):
@@ -471,11 +471,23 @@ def test_band_distance_thresholds_share_the_check_and_the_scan(monkeypatch):
     calls.clear()
     second = band_distance(2e8, _BAND_FC, 0.6, _BAND_APERTURE, 0.5)
     assert math.isfinite(second) and second != first
-    # a second threshold at the offset: no far-field call, no scan call,
-    # only the scalar bisection steps
+    # a second threshold at the offset: no far-field call and no scan call,
+    # only the probes of its own finish
     assert regimes_mod._far_gain.cache_info().misses == 1
     assert regimes_mod._scan.cache_info().misses == 1
-    assert calls and all(g2.size == 1 and float(g2) != float(far_g2) for g2 in calls)
+    assert calls and not any(g2.size >= scan.size or far_g2 in g2 for g2 in calls)
+
+
+def test_band_distance_against_40_digit_crossing():
+    # finite results at f = 0 and both offset signs lie on the 40-digit
+    # crossing along their ray, to a few ulp of G's own rounding
+    cells = [(0.0, 0.95), (0.0, 0.6), (2e8, 0.9), (2e8, 0.6), (-2e8, 0.95), (-2e8, 0.75),
+             (6e8, 0.6)]
+    for f, tau in cells:
+        got = band_distance(f, _BAND_FC, tau, _BAND_APERTURE, 0.5)
+        want = band_crossing_40(f, _BAND_FC, tau, _BAND_APERTURE, 0.5,
+                                got * (1.0 - 1e-5), got * (1.0 + 1e-5))
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_band_scan_is_shared_read_only():
@@ -536,13 +548,19 @@ def test_no_crossing_error_raised(monkeypatch):
 README_GAMMA2 = np.geomspace(1e-3, 6.0, 512)  # the contours subcommand's grid
 
 
+def _finish_columns(tau, g2, hi, f_lo, f_hi):
+    """``_finish`` on the march brackets [hi - 0.01, hi] of the columns g2."""
+    return regimes_mod._finish(tau, lambda x, rows: _gain_pq(x, g2[rows, None]),
+                               hi - regimes_mod._PRODUCT_STEP, hi, f_lo, f_hi)
+
+
 def _products(tau, g2):
     """First-crossing product of every column (0 outside the region): the
     march, then the finish on every live column."""
     hi, f_lo, f_hi = regimes_mod._march(tau, g2)
     live = hi > 0.0
     products = np.zeros_like(g2)
-    products[live] = regimes_mod._finish(tau, g2[live], hi[live], f_lo[live], f_hi[live])
+    products[live] = _finish_columns(tau, g2[live], hi[live], f_lo[live], f_hi[live])
     return products
 
 
@@ -652,8 +670,8 @@ def test_every_product_lies_in_its_bracket(tau_db, top_only):
     if top_only:
         finish = (hi == hi.max()) & (hi > 0.0)
         products = np.zeros_like(g2)
-        products[finish] = regimes_mod._finish(tau, g2[finish], hi[finish], f_lo[finish],
-                                               f_hi[finish])
+        products[finish] = _finish_columns(tau, g2[finish], hi[finish], f_lo[finish],
+                                           f_hi[finish])
     else:
         finish = hi > 0.0
         products = _products(tau, g2)
@@ -672,7 +690,7 @@ def test_product_max_candidates_are_the_top_grid_level(tau_db):
     hi, f_lo, f_hi = regimes_mod._march(tau, g2)
     products = _products(tau, g2)
     top = np.flatnonzero(hi == hi.max())
-    finished = regimes_mod._finish(tau, g2[top], hi[top], f_lo[top], f_hi[top])
+    finished = _finish_columns(tau, g2[top], hi[top], f_lo[top], f_hi[top])
     assert products.max() == finished.max()
     assert products.argmax() == top[finished.argmax()]
 
