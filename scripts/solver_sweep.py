@@ -1,4 +1,4 @@
-"""Cold product_max at every 0.25 dB step on [-11.25, -0.1] dB.
+"""Cold product_max at every 0.25 dB step from the solver's floor to -0.1 dB.
 
 For each threshold prints tau_db, product_max as float.hex and as a
 decimal and the kernel rounds (calls of the gain kernel) the solve took,
@@ -7,9 +7,11 @@ as CSV on stdout, and the wall time of each cold solve on stderr.
     python scripts/solver_sweep.py > scripts/solver_sweep.csv   # rewrite the table
     python scripts/solver_sweep.py --check                      # compare with it
 
-``--check`` exits 1 when a value differs from scripts/solver_sweep.csv by
-more than 4 ulp, a threshold is missing, or a solve takes more rounds
-than the committed count plus max(2, 10 %) of it.  Fewer rounds pass, and
+The steps start at the floor, -11.25 dB, below which product_max raises
+``ValueError``.  ``--check`` exits 1 when a value differs from
+scripts/solver_sweep.csv by more than 4 ulp, a threshold is missing, a
+solve takes more rounds than the committed count plus max(2, 10 %) of it,
+or the step 0.05 dB below the floor solves.  Fewer rounds pass, and
 the slack allows for an ulp of difference in the kernel on another
 platform, which can move the secant finish by a round.  It imports
 nearband from the ``src`` directory of the checkout it sits in, ahead of
@@ -28,7 +30,8 @@ import nearband.regimes as regimes
 
 COMMITTED = Path(__file__).resolve().with_name("solver_sweep.csv")
 HEADER = "tau_db,product_max_hex,product_max,rounds"
-TAUS_DB = [-11.25 + 0.25 * k for k in range(45)] + [-0.1]
+FLOOR_DB = regimes._MARCH_FLOOR_DB
+TAUS_DB = [FLOOR_DB + 0.25 * k for k in range(round(-FLOOR_DB / 0.25))] + [-0.1]
 TOL_ULP = 4
 
 
@@ -81,6 +84,14 @@ def check(rows: list) -> int:
             failures += 1
     print(f"{len(rows) - failures}/{len(rows)} within {TOL_ULP} ulp and the rounds of "
           f"{COMMITTED.name}", file=sys.stderr)
+    below = FLOOR_DB - 0.05
+    try:
+        regimes.product_max(10.0 ** (below / 10.0))
+    except ValueError:
+        print(f"{below!r} dB, below the floor: ValueError", file=sys.stderr)
+    else:
+        print(f"{below!r} dB is below the floor, but it solved", file=sys.stderr)
+        failures += 1
     return 1 if failures else 0
 
 

@@ -32,12 +32,10 @@ __all__ = [
     "ObserverPoint",
     "FresnelRegionWarning",
     "antenna_positions",
-    "distance_to_rx",
     "channel",
     "beamformer",
     "gain_exact",
     "gain_fresnel_sum",
-    "check_fresnel_region",
     "as_regime",
 ]
 
@@ -111,14 +109,9 @@ def antenna_positions(geom: ArrayGeometry) -> np.ndarray:
     return (2.0 * n - geom.n_antennas + 1) * (geom.spacing_m / 2.0)
 
 
-def distance_to_rx(geom: ArrayGeometry, point: ObserverPoint) -> np.ndarray:
-    """Exact element-to-receiver distances r_n = sqrt(r^2 - 2 r d_n sin(theta) + d_n^2)."""
-    return _element_distances(antenna_positions(geom), point.range_m, point.angle_rad)
-
-
 def _element_distances(d_n, r: float, theta_rad: float) -> np.ndarray:
-    """Element distances from positions d_n and range r, both in metres or
-    both in wavelengths."""
+    """Exact element distances r_n = sqrt(r^2 - 2 r d_n sin(theta) + d_n^2)
+    from positions d_n and range r, both in metres or both in wavelengths."""
     return np.sqrt(r * r - 2.0 * r * d_n * math.sin(theta_rad) + d_n * d_n)
 
 
@@ -174,12 +167,6 @@ def gain_exact(geom: ArrayGeometry, point: ObserverPoint, channel_variant: str,
     inner = np.vdot(channel(geom, point, channel_variant, baseband_hz),
                     beamformer(geom, point, "ff_nb"))
     return float(abs(inner) / math.sqrt(geom.n_antennas))
-
-
-def check_fresnel_region(geom: ArrayGeometry, point: ObserverPoint) -> bool:
-    """True iff every element distance satisfies r_n > 0.5 sqrt(L^3 / lambda_c)."""
-    threshold = _fresnel_distance(geom.aperture_m, geom.wavelength_m)
-    return bool(distance_to_rx(geom, point).min() > threshold)
 
 
 def as_regime(geom: ArrayGeometry, point: ObserverPoint, baseband_hz: float = 0.0) -> Regime:

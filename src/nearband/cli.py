@@ -24,7 +24,6 @@ from . import __version__
 from .constants import SPEED_OF_LIGHT_M_S
 from .fresnel import gain_closed_form, to_db
 from .regimes import (
-    NoCrossingError,
     ThresholdSpec,
     band_distance,
     bmax,
@@ -124,7 +123,6 @@ def run_contours(scenario: Scenario) -> tuple[SweepTable, tuple]:
     meta.append(("contour.gamma2_grid",
                  f"geomspace(0.001, 6.0, {_CONTOUR_GAMMA2_POINTS})"))
     g2_grid = np.geomspace(1e-3, 6.0, _CONTOUR_GAMMA2_POINTS)
-    # every product_max first: its error on a deep threshold precedes the march's
     pms = [product_max(tau.tau_linear) for tau in scenario.taus]
     g1s = main_lobe_boundary([tau.tau_linear for tau in scenario.taus], g2_grid)
     for tau, pm, g1 in zip(scenario.taus, pms, g1s):
@@ -262,7 +260,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"nearband: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoCrossingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"nearband: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

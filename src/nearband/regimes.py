@@ -32,7 +32,6 @@ from .fresnel import GammaPair, _gain_pq, gain_narrowband
 __all__ = [
     "Regime",
     "ThresholdSpec",
-    "NoCrossingError",
     "gamma_from_regime",
     "product_max",
     "far_field_product",
@@ -48,10 +47,6 @@ __all__ = [
 # associated boundary coefficient 1/(4 gamma2^2) at that level.
 RAYLEIGH_GAIN_LINEAR = 0.95
 RAYLEIGH_COEFF = 0.367
-
-
-class NoCrossingError(RuntimeError):
-    """A threshold inversion found no crossing inside its search window."""
 
 
 @dataclass(frozen=True)
@@ -145,10 +140,13 @@ def _check_offset(fbar: float, name: str) -> None:
                          f"(1 + fbar > 0), got fbar = {fbar!r}")
 
 
-def _check_threshold(tau_linear: float, caller: str) -> None:
+def _check_threshold(tau_linear: float, caller: str, marches: bool = False) -> None:
     if not (0.0 < tau_linear < 1.0):
         raise ValueError(f"{caller} requires a linear gain threshold tau_linear in (0, 1), "
                          f"got {tau_linear!r}")
+    if marches and tau_linear < _MARCH_FLOOR:
+        raise ValueError(f"{caller} solves thresholds down to {_MARCH_FLOOR_DB} dB "
+                         f"(tau_linear >= {_MARCH_FLOOR!r}), got {tau_linear!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +159,6 @@ def _check_threshold(tau_linear: float, caller: str) -> None:
 # peak at 0.1).
 _PRODUCT_STEP = 0.01
 _PRODUCT_CHUNK = 32
-_PRODUCT_LIMIT = 64.0
 _MARCH_POINTS = 65536
 _COARSE_STRIDE = 16
 _FINISH_ROUNDS = 48
@@ -171,6 +168,11 @@ _GAMMA2_FLOOR = 1e-3
 _GAMMA2_POINTS = 4096
 _REFINE_POINTS = 33
 _REFINE_ROUNDS = 5
+# The deepest threshold the marching solvers take, as ThresholdSpec.from_db
+# converts it.  The march ends at any depth, but the 4096-column grid
+# already misses narrow peaks here, so a deeper range needs a certified search.
+_MARCH_FLOOR_DB = -11.25
+_MARCH_FLOOR = 10.0 ** (_MARCH_FLOOR_DB / 10.0)
 
 
 def _march(tau, g2: np.ndarray):
@@ -178,26 +180,21 @@ def _march(tau, g2: np.ndarray):
     G - tau at both ends; hi is 0 for columns whose on-axis gain is below tau.
     For a 1-D array of thresholds the arrays gain a leading threshold axis,
     and each grid point's gain is evaluated once for all thresholds still open
-    on its column.  Raises ``NoCrossingError``, naming the first threshold
-    still open, when a column keeps its gain at or above it up to the march
-    limit; no grid point past the limit is evaluated."""
+    on its column.  The march ends once every live column has crossed, which
+    the chirp envelope guarantees: for p > gamma2^2 the gain is at most
+    1/(pi (p - gamma2^2)) (van der Corput's first-derivative test), so a
+    column crosses tau by p = gamma2^2 + 1/(pi tau)."""
     taus = np.atleast_1d(tau)
     hi, f_lo, f_hi = (np.zeros((taus.size, g2.size)) for _ in range(3))
     g0 = gain_narrowband(g2)
     live = g0 >= taus[:, None]
     cols = np.flatnonzero(live.any(axis=0))
     open_, g_k = live[:, cols], g0[cols]  # open: live and not yet crossed
-    last = int(_PRODUCT_LIMIT / _PRODUCT_STEP + 1e-9)  # the last grid index marched
     k0 = 0
     while cols.size:
-        if k0 >= last:
-            failed = float(taus[open_.any(axis=1).argmax()])
-            raise NoCrossingError(
-                f"gain never crossed below tau={failed!r} for gamma1*gamma2 <= {_PRODUCT_LIMIT!r}"
-            )
         # a chunk as long as the march so far, within the point budget
         chunk = max(_PRODUCT_CHUNK, min(k0, _MARCH_POINTS // cols.size))
-        k = np.arange(k0 + 1, min(k0 + chunk, last) + 1)
+        k = np.arange(k0 + 1, k0 + chunk + 1)
         p = _PRODUCT_STEP * k
         g = _gain_pq(p, g2[cols, None])
         below = g < taus[:, None, None]
@@ -286,15 +283,15 @@ def main_lobe_boundary(tau_linear, gamma2: np.ndarray) -> np.ndarray:
     ``tau_linear`` is one threshold or a 1-D sequence of them; a sequence
     returns one row per threshold, stacked on a leading axis, from one march
     and one finish, so each gain point is evaluated once and each row has
-    the bits of its own one-threshold call.  Raises ``ValueError`` unless
-    every tau is a linear gain in (0, 1) and every gamma2 is positive and
-    finite.
+    the bits of its own one-threshold call.  Raises ``ValueError``, before
+    any gain is evaluated, unless every tau is a linear gain in (0, 1) at or
+    above the -11.25 dB floor and every gamma2 is positive and finite.
     """
     taus = np.array(tau_linear, dtype=float)
     if taus.ndim > 1:
         raise ValueError("main_lobe_boundary takes one threshold or a 1-D sequence of them")
     for tau in [tau_linear] if taus.ndim == 0 else tau_linear:
-        _check_threshold(tau, "main_lobe_boundary")
+        _check_threshold(tau, "main_lobe_boundary", marches=True)
     g2 = np.asarray(gamma2, dtype=float)
     bad = g2[~((g2 > 0.0) & (g2 < math.inf))]
     if bad.size:
@@ -370,12 +367,12 @@ def product_max(tau_linear: float) -> float:
     and returns the larger of that and p_ff.  The march alone tells the
     live columns, by their on-axis gain.  No column beyond 1/tau can hold
     gain >= tau, since max|C + jS| < 1 bounds the on-axis gain by
-    1/gamma2.  Raises ``ValueError`` when tau is not a linear gain in
-    (0, 1) and ``NoCrossingError`` when a crossing lies beyond the march
-    limit p = 64: -11.25 dB still solves (62.40), while -11.3 dB raises, as
-    every deeper threshold tried down to -50 dB does.
+    1/gamma2, and every live column crosses by the chirp-envelope bound
+    p = gamma2^2 + 1/(pi tau), so no search window caps the result.  Raises
+    ``ValueError``, before any gain is evaluated, when tau is not a linear
+    gain in (0, 1) or lies below the -11.25 dB floor (which solves: 62.40).
     """
-    _check_threshold(tau_linear, "product_max")
+    _check_threshold(tau_linear, "product_max", marches=True)
     p_ff = far_field_product(tau_linear)
     g2 = np.geomspace(_GAMMA2_FLOOR, 1.0 / tau_linear, _GAMMA2_POINTS)
     if not (_gain_pq(p_ff, g2) >= tau_linear).any():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from nearband.arrays import (
+    _element_distances,
     ArrayGeometry,
     FresnelRegionWarning,
     ObserverPoint,
@@ -14,8 +15,6 @@ from nearband.arrays import (
     as_regime,
     beamformer,
     channel,
-    check_fresnel_region,
-    distance_to_rx,
     gain_exact,
     gain_fresnel_sum,
 )
@@ -45,12 +44,10 @@ def test_antenna_positions_examples():
 
 
 def test_distance_examples():
-    geom = ArrayGeometry(5, 0.02, 1e9)
-    p0 = ObserverPoint(3.0, 0.0)
-    d_n = antenna_positions(geom)
-    assert np.allclose(distance_to_rx(geom, p0), np.sqrt(9.0 + d_n**2))
-    assert distance_to_rx(ArrayGeometry(1, 0.02, 1e9), ObserverPoint(7.5, 0.4)).tolist() == [7.5]
-    r = distance_to_rx(ArrayGeometry(2, 2.0, 1e9), ObserverPoint(10.0, math.pi / 6))
+    d_n = antenna_positions(ArrayGeometry(5, 0.02, 1e9))
+    assert np.allclose(_element_distances(d_n, 3.0, 0.0), np.sqrt(9.0 + d_n**2))
+    assert _element_distances(np.zeros(1), 7.5, 0.4).tolist() == [7.5]
+    r = _element_distances(antenna_positions(ArrayGeometry(2, 2.0, 1e9)), 10.0, math.pi / 6)
     assert r[0] == pytest.approx(math.sqrt(111.0), rel=1e-12)
     assert r[1] == pytest.approx(math.sqrt(91.0), rel=1e-12)
     assert np.all(r > 0)
@@ -165,17 +162,6 @@ def test_global_phase_invariance():
         assert rotated == pytest.approx(base, abs=1e-12)
 
 
-def test_check_fresnel_region():
-    geom = _geom(n=128, dbar=0.5, fc=28e9)
-    threshold = 0.5 * math.sqrt(geom.aperture_m**3 / geom.wavelength_m)
-    assert threshold == pytest.approx(2.741, abs=2e-3)
-    assert check_fresnel_region(geom, ObserverPoint(5.0, 0.0))
-    assert check_fresnel_region(geom, ObserverPoint(1e9 * geom.aperture_m, 0.2))
-    assert not check_fresnel_region(geom, ObserverPoint(1e-3, 0.0))
-    assert not check_fresnel_region(geom, ObserverPoint(threshold * 0.99, 0.0))
-    assert check_fresnel_region(geom, ObserverPoint(threshold * 1.01, 0.0))
-
-
 def test_fresnel_sum_trivial_cases():
     assert gain_fresnel_sum(Regime(0.0, 100.0, 0.5, 0.5, 0.2), 1) == 1.0
     huge_range = Regime(0.0, 1e12, 0.5, 32.0, 0.4)
@@ -237,6 +223,17 @@ def test_fresnel_sum_warning_outside_region():
     with pytest.warns(FresnelRegionWarning):
         value = gain_fresnel_sum(outside, 64)
     assert 0.0 <= value <= 1.0
+    # the region's edge, every element beyond 0.5 sqrt(L^3 / lambda_c)
+    geom = _geom(n=128, dbar=0.5, fc=28e9)
+    threshold = 0.5 * math.sqrt(geom.aperture_m**3 / geom.wavelength_m)
+    assert threshold == pytest.approx(2.741, abs=2e-3)
+    for range_m, angle, in_region in [(5.0, 0.0, True), (1e9 * geom.aperture_m, 0.2, True),
+                                      (1e-3, 0.0, False), (threshold * 0.99, 0.0, False),
+                                      (threshold * 1.01, 0.0, True)]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gain_fresnel_sum(as_regime(geom, ObserverPoint(range_m, angle)), 128)
+        assert [w.category for w in caught] == ([] if in_region else [FresnelRegionWarning])
 
 
 def test_fresnel_sum_example_against_oracles():

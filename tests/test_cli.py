@@ -402,6 +402,25 @@ def test_usage_errors(tmp_path, scenario_file, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, doc, sets, status", [
+    ("contours", MINIMAL.replace("tau_db = -1", "tau_db = -11.3").replace(
+        "tau_list_db = -0.2, -1, -2\n", ""), [], EXIT_COMPUTE),
+    ("bmax-curve", TAU_SWEEP, ["sweep.min=-11.3"], EXIT_COMPUTE),
+    ("band-map", BAND_SWEEP, ["tau_list_db=-11.3"], EXIT_OK),
+    ("gain-surface", MINIMAL, ["tau_db=-11.3"], EXIT_OK),
+], ids=["contours", "bmax-curve", "band-map", "gain-surface"])
+def test_march_floor_is_a_compute_error_only_where_a_solver_marches(
+        tmp_path, scenario_file, capsys, command, doc, sets, status):
+    # contours and bmax-curve march the gain, which is supported down to
+    # -11.25 dB; band-map and gain-surface do not march
+    out = tmp_path / "x.csv"
+    args = [command, "--scenario", str(scenario_file(doc)), "--out", str(out)]
+    assert main(args + [a for s in sets for a in ("--set", s)]) == status
+    floor_named = "solves thresholds down to -11.25 dB" in capsys.readouterr().err
+    assert floor_named == (status == EXIT_COMPUTE)
+    assert out.exists() == (status == EXIT_OK)
+
+
 def test_compute_error_exit_code(tmp_path, scenario_file, monkeypatch):
     cfg = scenario_file(MINIMAL)
     out = str(tmp_path / "x.csv")
