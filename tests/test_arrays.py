@@ -223,7 +223,11 @@ def test_fresnel_sum_warning_outside_region():
     with pytest.warns(FresnelRegionWarning):
         value = gain_fresnel_sum(outside, 64)
     assert 0.0 <= value <= 1.0
-    # the region's edge, every element beyond 0.5 sqrt(L^3 / lambda_c)
+
+
+def test_check_fresnel_region():
+    # the region's edge, every element beyond 0.5 sqrt(L^3 / lambda_c), as
+    # gain_fresnel_sum's FresnelRegionWarning decides it
     geom = _geom(n=128, dbar=0.5, fc=28e9)
     threshold = 0.5 * math.sqrt(geom.aperture_m**3 / geom.wavelength_m)
     assert threshold == pytest.approx(2.741, abs=2e-3)
