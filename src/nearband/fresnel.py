@@ -37,7 +37,12 @@ x+-, which still cancels when gamma2 and p are both small (about 1e-12
 absolute at gamma2 = p = 1e-4).
 
 Every element sees the same operations in the same order, so array calls
-are bit-identical to elementwise scalar calls.
+are bit-identical to elementwise scalar calls.  That holds across the
+small-input rule too: series of at most ``_SCALAR_MAX`` points run the same
+recurrence on Python floats, in the same term order, which skips numpy's
+dispatch per term; each step is one IEEE-754 multiply, add or subtract,
+fused neither by CPython nor by numpy's ufuncs, so both paths give the same
+bits.  sin, cos and hypot stay numpy ufuncs (``math.hypot`` rounds differently).
 """
 
 from __future__ import annotations
@@ -61,6 +66,10 @@ _AUX_MAX = 6.0
 _HUGE = 1e10
 
 _BLOCK = 8192
+# _horner and _clenshaw take inputs of at most this many points, one point's
+# x+ and x-, through the same steps on Python floats, which skip numpy's
+# dispatch per series term (the float loops stay faster up to about 16 points)
+_SCALAR_MAX = 2
 
 # gain_closed_form switches to its gamma2 -> 0 limit when 2*gamma2 falls
 # below this; the difference quotient of C, S cancels catastrophically there.
@@ -196,6 +205,16 @@ _ASYM = _stacked(_ASYM_F, _ASYM_G)
 
 
 def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    if z.size <= _SCALAR_MAX:
+        out = []
+        for row in coeffs.tolist():
+            rest = row[-2::-1]
+            for zi in z.tolist():
+                acc = row[-1]
+                for c in rest:
+                    acc = acc * zi + c
+                out.append(acc)
+        return np.array(out).reshape(coeffs.shape[0], z.size)
     acc = coeffs[:, -1:]
     for c in coeffs.T[-2::-1, :, None]:
         acc = acc * z + c
@@ -203,6 +222,16 @@ def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _clenshaw(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    if t.size <= _SCALAR_MAX:
+        out = []
+        for row in coeffs.tolist():
+            rest = row[:0:-1]
+            for ti in t.tolist():
+                t2, b0, b1 = 2.0 * ti, 0.0, 0.0
+                for c in rest:
+                    b0, b1 = t2 * b0 - b1 + c, b0
+                out.append(ti * b0 - b1 + 0.5 * row[0])
+        return np.array(out).reshape(coeffs.shape[0], t.size)
     b0 = np.zeros((coeffs.shape[0], t.size))
     b1 = np.zeros_like(b0)
     t2 = 2.0 * t
@@ -243,8 +272,11 @@ def _asym_fg(x: np.ndarray) -> np.ndarray:
 
 def _aux_fg(x: np.ndarray) -> np.ndarray:
     """Rows f(x), g(x) for 1.6 < x < 1e10, each point on its branch."""
-    fg = np.empty((2, x.size))
     mid = x <= _AUX_MAX
+    n = np.count_nonzero(mid)
+    if n in (0, x.size):  # one branch holds every point
+        return _cheb_fg(x) if n else _asym_fg(x)
+    fg = np.empty((2, x.size))
     for mask, branch in ((mid, _cheb_fg), (~mid, _asym_fg)):
         if mask.any():
             fg[:, mask] = branch(x[mask])
@@ -360,12 +392,12 @@ def _gain_block(g1: np.ndarray, g2: np.ndarray, p: np.ndarray, out: np.ndarray) 
 def _gain_pq(p, gamma2) -> np.ndarray:
     """G at the product p = gamma1*gamma2 >= 0 and gamma2 > 0, for the
     threshold solvers, which hold p fixed; arrays broadcast, no validation."""
-    p, g2 = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(gamma2, dtype=float))
-    shape = p.shape
-    p, g2 = p.ravel(), g2.ravel()
-    out = np.empty(p.shape)
-    _by_block(_gain_block, p / g2, g2, p, out)
-    return out.reshape(shape)
+    g1 = np.asarray(p, dtype=float) / np.asarray(gamma2, dtype=float)
+    args = np.empty((3,) + g1.shape)
+    args[0], args[1], args[2] = g1, gamma2, p  # broadcast copies, bit for bit
+    out = np.empty(g1.size)
+    _by_block(_gain_block, *args.reshape(3, -1), out)
+    return out.reshape(g1.shape)
 
 
 def gain_closed_form(gamma1, gamma2):

@@ -164,6 +164,7 @@ _COARSE_STRIDE = 16
 _FINISH_ROUNDS = 48
 _FINISH_ULPS = 8
 _GUARD_ULPS = 2
+_PROBE_STEPS = np.array([-1.0, 0.0, 1.0])  # guard steps of the three secant probes
 _GAMMA2_FLOOR = 1e-3
 _GAMMA2_POINTS = 4096
 _REFINE_POINTS = 33
@@ -235,7 +236,8 @@ def _finish(tau, gain, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: n
     """Midpoint of each bracket [lo, hi], where f = G - tau is >= 0 at lo and
     < 0 at hi, narrowed to 8 ulp (at most 48 rounds) by bracketed secant
     steps.  ``gain(x, rows)`` returns G at the probe points x, one row of
-    them per open bracket, of the brackets numbered ``rows``.  ``tau`` is
+    them per open bracket, of the brackets ``rows`` indexes (an index array,
+    or a full slice while every bracket is open).  ``tau`` is
     one threshold or one per bracket.  Each bracket is refined on its own
     values, so its result does not depend on which others share the call."""
     tau = np.broadcast_to(tau, hi.shape)
@@ -243,28 +245,31 @@ def _finish(tau, gain, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray, f_hi: n
     side = np.zeros(hi.size, dtype=np.int8)  # endpoint kept last round: -1 lo, 1 hi
     for _ in range(_FINISH_ROUNDS):
         ulp = np.spacing(hi)
-        o = np.flatnonzero(hi - lo > _FINISH_ULPS * ulp)
-        if not o.size:
+        live = hi - lo > _FINISH_ULPS * ulp
+        n = np.count_nonzero(live)
+        if not n:
             break
+        o = slice(None) if n == hi.size else np.flatnonzero(live)
         a, b, fa, fb, d, t = lo[o], hi[o], f_lo[o], f_hi[o], _GUARD_ULPS * ulp[o], tau[o]
         w = b - a
+        # the new bracket: the first point below tau among a, three probes
+        # and b (b is), and the point before it
+        pts, f = np.empty((2, n, 5))
+        pts[:, 0], pts[:, 4], f[:, 0], f[:, 4] = a, b, fa, fb
         # fb < 0 <= fa puts the secant point in [a, b]; the clamp keeps it
         # and its guards strictly inside
         x = np.clip(b - fb * w / (fb - fa), a + 2.0 * d, b - 2.0 * d)
-        pts = x[:, None] + d[:, None] * np.array([-1.0, 0.0, 1.0])
+        pts[:, 1:4] = x[:, None] + d[:, None] * _PROBE_STEPS
         # G can equal tau exactly over many ulp of p, and at fa == 0 the
         # secant point is a itself; there three probes step from a by the
         # width of that band, ulp(tau) / |slope|, or a quarter of the bracket
         flat = np.flatnonzero(fa == 0.0)
         if flat.size:
             q = np.maximum(w[flat] * np.minimum(0.25, np.spacing(t[flat]) / -fb[flat]), d[flat])
-            pts[flat] = a[flat, None] + q[:, None] * np.array([1.0, 2.0, 3.0])
-        # the new bracket: the first point below tau among a, pts, b (b is)
-        # and the point before it
-        pts = np.column_stack((a, pts, b))
-        f = np.column_stack((fa, gain(pts[:, 1:4], o) - t[:, None], fb))
+            pts[flat, 1:4] = a[flat, None] + q[:, None] * np.array([1.0, 2.0, 3.0])
+        f[:, 1:4] = gain(pts[:, 1:4], o) - t[:, None]
         j = (f[:, 1:] < 0.0).argmax(axis=1) + 1
-        r = np.arange(o.size)
+        r = np.arange(n)
         fa, fb = f[r, j - 1], f[r, j]
         # Illinois: an endpoint kept twice in a row has its value halved
         kept = np.where(j == 1, -1, np.where(j == 4, 1, 0)).astype(np.int8)

@@ -159,8 +159,9 @@ def test_bmax_curve_output(tmp_path, scenario_file):
     by_preset = {}
     for r in rows:
         by_preset.setdefault((r[1], r[2]), []).append(float(r[3]))
+    # the four presets: N = 64 and 128 elements at lambda/2, at 39 and 28 GHz
     apertures = sorted({float(a) for a, _ in by_preset})
-    assert apertures == sorted([0.34, 0.68, 0.25, 0.49], key=float) or True
+    assert apertures == [0.2459835552820513, 0.342619952, 0.4919671105641026, 0.685239904]
     # bmax strictly decreasing in tau within every preset (sweep ascends in tau)
     for values in by_preset.values():
         assert all(a > b for a, b in zip(values, values[1:]))

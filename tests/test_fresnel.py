@@ -254,6 +254,7 @@ def test_vector_and_scalar_agree():
 # Array calls are evaluated in blocks; each element must come out with the
 # same bits as a scalar call on it, whatever block it falls in.
 _BLOCK = fresnel_mod._BLOCK
+_SCALAR_MAX = fresnel_mod._SCALAR_MAX
 
 
 def _bits(values):
@@ -281,7 +282,8 @@ def scalar_pools():
     return x, cs, g1, g2, gain
 
 
-@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+@pytest.mark.parametrize("size", sorted({1, 2, _SCALAR_MAX, _SCALAR_MAX + 1})
+                         + [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
 def test_array_calls_match_scalar_calls_bitwise(size, scalar_pools):
     x, cs, g1, g2, gain = scalar_pools
     rng = np.random.default_rng(size)
@@ -291,3 +293,36 @@ def test_array_calls_match_scalar_calls_bitwise(size, scalar_pools):
     np.testing.assert_array_equal(_bits(s), _bits(cs[i, 1]))
     j = rng.integers(0, g1.size, size)
     np.testing.assert_array_equal(_bits(gain_closed_form(g1[j], g2[j])), _bits(gain[j]))
+
+
+# Series inputs of at most _SCALAR_MAX points run on Python floats, larger
+# ones as numpy loops; both must give the same bits on every table.
+def _recurrence_args(table, rng):
+    """Arguments of a table's recurrence, formed as the kernel forms them from
+    x across its branch (with the branch edges 1.6 and 6.0), and +-0.0."""
+    if table == "_SERIES":
+        x = np.concatenate([[1.6, np.nextafter(1.6, 0.0)], rng.uniform(0.0, 1.6, 60)])
+        arg = x ** 4
+    elif table == "_CHEB":
+        x = np.concatenate([[1.6, 6.0, np.nextafter(1.6, 2.0), np.nextafter(6.0, 0.0)],
+                            rng.uniform(1.6, 6.0, 60)])
+        lo, hi = fresnel_mod._CHEB_S_LO, fresnel_mod._CHEB_S_HI
+        arg = (2.0 / (x * x) - (lo + hi)) / (hi - lo)
+    else:
+        x = np.concatenate([[6.0, np.nextafter(6.0, 7.0), np.nextafter(1e10, 0.0)],
+                            np.exp(rng.uniform(np.log(6.0), np.log(1e10), 60))])
+        pix2 = np.pi * x * x
+        arg = 1.0 / (pix2 * pix2)
+    return np.concatenate([[0.0, -0.0], arg])
+
+
+@pytest.mark.parametrize("table", ["_SERIES", "_CHEB", "_ASYM"])
+def test_small_and_large_inputs_give_the_same_recurrence_bits(table):
+    coeffs = getattr(fresnel_mod, table)
+    recurrence = fresnel_mod._clenshaw if table == "_CHEB" else fresnel_mod._horner
+    arg = _recurrence_args(table, np.random.default_rng(11))
+    assert arg.size > _SCALAR_MAX + 1
+    whole = _bits(recurrence(coeffs, arg))  # the numpy loop
+    for size in sorted({1, 2, _SCALAR_MAX, _SCALAR_MAX + 1}):
+        parts = [recurrence(coeffs, arg[i:i + size]) for i in range(0, arg.size, size)]
+        np.testing.assert_array_equal(_bits(np.concatenate(parts, axis=1)), whole)

@@ -489,6 +489,29 @@ def test_band_distance_against_40_digit_crossing():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+# Finite results at library-loop geometries (N 64-1024, |theta| 0.1-1.2 rad,
+# offsets 0.2-0.9 of the far-field half band), pinned bit for bit: a bit
+# moved by the scan, the secant finish or the small kernel calls they make
+# fails here, not only the 1e-12 check against the 40-digit crossing above.
+# (N, spacing in wavelengths, carrier Hz, theta rad, offset Hz, tau dB, metres)
+_BAND_PINNED = [
+    (64, 0.5, 28e9, 0.3, 541e6, -1.0, "0x1.0093941b5e5b8p+2"),
+    (128, 0.5, 39e9, -0.7, -126e6, -0.2, "0x1.7589a011e476dp+4"),
+    (256, 0.4, 20e9, 1.1, 33.2e6, -2.0, "0x1.0af8fd504afe2p+3"),
+    (512, 0.25, 45e9, -0.1, -553e6, -0.5, "0x1.01644df5a43a6p+6"),
+    (1024, 0.5, 30e9, 0.5, 8.93e6, -1.0, "0x1.675834d2499a4p+9"),
+    (160, 0.3, 35e9, -1.2, -111e6, -0.2, "0x1.e0f8c303d33cdp+1"),
+    (700, 0.45, 25e9, 0.9, 6.75e6, -0.2, "0x1.8319d2c79f4f0p+8"),
+    (300, 0.35, 42e9, -0.4, -188e6, -0.5, "0x1.641da349eaa12p+5"),
+]
+
+
+@pytest.mark.parametrize("n, dbar, fc, theta, f, tau_db, want", _BAND_PINNED)
+def test_band_distance_bits_at_library_geometries(n, dbar, fc, theta, f, tau_db, want):
+    _band_clear()
+    assert band_distance(f, fc, _db(tau_db), n * dbar * C / fc, theta).hex() == want
+
+
 def test_band_scan_is_shared_read_only():
     # the cache hands every caller the same arrays, so none may write them
     _band_clear()
