@@ -4,8 +4,11 @@ Prints a markdown table: a one-point ``_gain_pq`` call on each branch of
 the kernel, one 4096-point call, a scalar ``gain_closed_form``, and a
 scalar ``band_distance`` that is finite and one that is ``inf``.  Each
 figure is the minimum over ``--repeat`` timings of ``--number`` calls
-(a twentieth as many for the 4096-point call and the finite
-``band_distance``), per call.
+(a twentieth as many for the 4096-point call, the finite
+``band_distance`` and the CSV rows), per call.  Three more rows give the
+cost per cell of ``emit_csv`` on one 8192-row column, next to ``repr`` of
+the same cells: gains in dB (16-17 digit floats), a sweep axis of short
+decimals, and integers.
 
     python scripts/kernel_cost.py                          # 15 x 200 calls
     python scripts/kernel_cost.py --repeat 2 --number 5    # a quick smoke run
@@ -28,8 +31,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from nearband.constants import SPEED_OF_LIGHT_M_S
-from nearband.fresnel import _gain_pq, gain_closed_form
+from nearband.fresnel import _gain_pq, gain_closed_form, to_db
 from nearband.regimes import band_distance, far_field_product
+from nearband.scenarios import SweepTable, emit_csv
 
 # one (p, gamma2) per branch of the kernel, named by how x+- = p/gamma2 +- gamma2
 # are evaluated
@@ -57,6 +61,14 @@ BAND_GEOMETRIES = [
     (96, 0.3, 35e9, -1.2, 0.9),
     (700, 0.45, 25e9, 0.9, 0.4),
     (300, 0.35, 42e9, -0.4, 0.7),
+]
+
+
+# one 8192-row emit_csv column each: gains in dB, a sweep axis, integers
+CSV_COLUMNS = [
+    ("gain_db", to_db(gain_closed_form(np.linspace(-3.0, 3.0, 8192), 1.3))),
+    ("sweep axis", np.repeat(np.linspace(-3.2, 3.2, 401), 21)[:8192]),
+    ("int", np.arange(-4096, 4096) * 997),
 ]
 
 
@@ -101,12 +113,18 @@ def main() -> None:
     if not math.isinf(band_distance(*beyond)):
         sys.exit("the inf band_distance geometry returned a finite distance")
     rows.append(("inf band_distance", per_call(lambda: band_distance(*beyond), rep, num)))
+    for name, col in CSV_COLUMNS:
+        table = SweepTable(("x",), (col,), ())
+        emit = per_call(lambda: emit_csv(table), rep, max(num // 20, 1), col.size)
+        text = per_call(lambda: [repr(v) for v in col.tolist()], rep, max(num // 20, 1), col.size)
+        rows.append((f"emit_csv, {name} column, per cell",
+                     f"{emit * 1e9:.0f} ns (repr {text * 1e9:.0f} ns)"))
 
     print(f"minimum of {rep} x {num} calls; numpy {np.__version__}, Python {sys.version.split()[0]}")
     print("| call | cost per call |")
     print("|---|---|")
-    for name, seconds in rows:
-        print(f"| {name} | {seconds * 1e6:.1f} µs |")
+    for name, cost in rows:
+        print(f"| {name} | {cost if isinstance(cost, str) else f'{cost * 1e6:.1f} µs'} |")
 
 
 if __name__ == "__main__":

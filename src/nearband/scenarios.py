@@ -34,7 +34,7 @@ import configparser
 import io
 import math
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import islice
+from functools import cache
 
 import numpy as np
 
@@ -387,37 +387,146 @@ def _key_text(value) -> str:
     return repr(value.tau_db if isinstance(value, ThresholdSpec) else value)
 
 
-_EMIT_BLOCK_ROWS = 8192
-_EMIT_TEXT_ROWS = 2048
+_EMIT_BLOCK_ROWS = 2048
 
 
-def _block_cells(col: np.ndarray):
-    """One column block as cell strings.  When at most half the cells are
-    distinct (keyed by bits, so -0.0 != 0.0), ``repr`` runs once per distinct
-    value; else lazily per cell, as expanding would hold all the strings."""
-    _check_values(col)
-    keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if 2 * len(first) > len(col):
-        return map(repr, col.tolist())
-    return np.array([repr(v) for v in col[first].tolist()], dtype=object)[inverse]
+@cache
+def _tables():
+    """Built on first use: 4-digit groups as ASCII (as is, and with trailing, leading but
+    the last, or leading zeros NUL), 10**k from Python ints as a double-double and the least
+    double >= 10**k (k = -30..46), the text around a cell's digits by exponent, 10**k."""
+    d = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+    seen, after = (np.logical_or.accumulate(z, axis=1) for z in (d > 0, d[:, ::-1] > 0))
+    but_last = seen | (np.arange(4) == 3)
+    groups = np.concatenate([(d + 48) * k for k in (1, after[:, ::-1], but_last, seen)])
+    hi = [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-30, 47)]  # int / int rounds
+    lo = [(10 ** max(k, 0) * den - num * 10 ** -min(k, 0)) / (den * 10 ** -min(k, 0))
+          for k, (num, den) in zip(range(-30, 47), (f.as_integer_ratio() for f in hi))]
+    head = [s + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
+            for e in range(-30, 31) for s in (b"", b"-")]
+    tail = [b"e%+03d" % e if not -4 <= e < 16 else b"" for e in range(-30, 31)]
+    return (groups.view("<u4").ravel(), np.array(hi), np.array(lo),
+            np.array([f if r <= 0 else math.nextafter(f, 1e47) for f, r in zip(hi, lo)]),
+            np.frombuffer(b"".join(s.ljust(8, b"\0") for s in head), "<u8"),
+            np.frombuffer(b"".join(s.ljust(4, b"\0") for s in tail), "<u4"),
+            np.array([10 ** k for k in range(19)]))
+
+
+def _digits(v, k: int = 0, lead=None) -> list:
+    """Integers 0 <= v < 10**(4k) as k arrays of 4 ASCII digits (k = 0: as many as
+    v needs); NUL for leading zeros but the last with ``lead``, trailing ones with False."""
+    table, parts, k = _tables()[0], [], k or -(-len(str(v.max())) // 4)
+    for j in range(k - 1, 0, -1):
+        parts.append(v // 10 ** (4 * j))
+        v = v - parts[-1] * 10 ** (4 * j)
+    parts, blank = [g.astype(np.int64) for g in (*parts, v)], lead is not None
+    for j in range(k) if lead or lead is None else range(k - 1, -1, -1):
+        at = (20_000 + 10_000 * (j < k - 1)) if lead else 10_000
+        parts[j], blank = np.take(table, parts[j] + at * blank), blank & (parts[j] == 0)
+    return parts
+
+
+def _float_cells(x: np.ndarray) -> tuple:
+    """``repr(float(v))`` for a float column block: pieces (1-D arrays whose
+    bytes, row by row with NULs dropped, are the cells) and the cells left to
+    ``repr``.  |v| * 10**(16 - q) = big + frac (10**16 <= big < 10**17) by a
+    Dekker product; the digits are those of the multiple of 100, 10 or 1
+    nearest to it in the round-trip interval (closed for an even mantissa; a
+    tie to the even digit).  Exact where 10**(16 - q) is a double, for
+    1e-4 <= |v| < 1e17; elsewhere a decision within 2**-30 of an edge goes to
+    ``repr``, as do 0 < |v| < 1e-30, |v| >= 1e30 and inf."""
+    _, p_hi, p_lo, tens, heads, tails, pow10 = _tables()
+    a = np.abs(x.astype(np.float64))
+    bits, zero = a.view(np.int64), a == 0
+    bad = (a < 1e-30) & ~zero | (a >= 1e30)
+    a[bad | zero] = 1.5
+    q = np.floor(np.log10(a)).astype(np.int64)
+    q += (a >= np.take(tens, q + 31)).astype(np.int64) - (a < np.take(tens, q + 30))
+    ph = np.take(p_hi, 46 - q)
+    p = a * ph
+    ahi, phi = (c - (c - v) for v, c in ((a, a * 134217729.0), (ph, ph * 134217729.0)))
+    err = (ahi * phi - p + ahi * (ph - phi) + (a - ahi) * phi + (a - ahi) * (ph - phi)
+           + a * np.take(p_lo, 46 - q))
+    big, frac = p.astype(np.int64) + np.floor(err).astype(np.int64), err - np.floor(err)
+    # half-gaps to the next doubles; d - h < tau: d < h, or d <= h if even
+    h = ((bits & 0x7FF0000000000000) - (53 << 52)).view(np.float64) * ph
+    h_lo = h * (1.0 - 0.5 * ((bits & (2 ** 52 - 1)) == 0))
+    tau = ((bits & 1) == 0) * 1e-300
+    hi = big // 100
+    m = (big - hi * 100).astype(np.float64)
+    m10 = m - 10 * np.floor(m * 0.1)
+    c, near = np.rint(m + frac), np.minimum(abs(frac - 0.5), abs(m10 + frac - 5))
+    even = ((big // 10 & 1) == 0) * 1e-300
+    for r, base, step, tie in ((m10 + frac, m - m10, 10, even), (m + frac, 0, 100, 0)):
+        up = step - r
+        ok_dn, ok_up = r - h_lo < tau, up - h < tau
+        c = np.where(ok_dn | ok_up, base + step * ~(ok_dn & (r - step / 2 < tie)), c)
+        near = np.minimum(near, np.minimum(abs(r - h), abs(up - h)))
+    bad |= ((q < -4) | (q > 16)) & ((h_lo != h) | (near < 2.0 ** -30))
+    N = hi * 100 + c.astype(np.int64)
+    E = q + (N == 10 ** 17)
+    N[N == 10 ** 17] = 10 ** 16
+    N[zero], E[zero] = 0, 0
+    # A, B: the digits ahead of the point (E + 1 in fixed point) and after it
+    fixed = (E >= 0) & (E <= 15)
+    split = np.take(pow10, 16 - E * fixed)
+    A = N // split
+    B = (N - A * split) * np.take(pow10, E * fixed)
+    tail = np.take(tails, E + 30)
+    dot = (fixed | (tail != 0) & (B != 0)) * np.uint16(46) + (fixed & (B == 0)) * np.uint16(0x3000)
+    return ([np.take(heads, 2 * E + 60 + np.signbit(x)), *_digits(A, lead=True), dot,
+             *_digits(B, 4, False), tail], bad)
+
+
+def _int_cells(v: np.ndarray) -> tuple:
+    """``repr(int(v))`` of each v of an integer column block, as pieces."""
+    mag = v.astype(np.uint64)
+    mag[v < 0] = 0 - mag[v < 0]
+    return [(v < 0) * np.uint8(45), *_digits(mag, lead=True)], np.zeros_like(v, bool)
+
+
+def _rows(pieces: list, n: int, buf: np.ndarray) -> np.ndarray:
+    """n rows of the pieces' bytes side by side, in ``buf`` if large enough."""
+    width = sum(p.itemsize for p in pieces)
+    buf = buf if buf.size >= n * width else np.empty(n * width, np.uint8)
+    rows, at = buf[:n * width].reshape(n, width), 0
+    for p in pieces:
+        rows[:, at:at + p.itemsize].view(p.dtype)[:, 0] = p
+        at += p.itemsize
+    return rows
 
 
 def emit_csv(table: SweepTable) -> bytes:
     """Serialize a table deterministically: metadata, header, rows, LF-only.
 
-    ``repr`` of the Python numbers from ``tolist`` gives decimal integers and
-    shortest round-trip floats; one block of rows at a time is formatted and
-    written to one buffer, ``_EMIT_TEXT_ROWS`` rows of text at a time.  Each
-    block is checked for NaN/-inf (``ValueError``) first, as a column may
-    have been written to since the table was built.
+    Each cell is ``repr`` of its Python number, formatted in numpy a column
+    block at a time (``repr`` itself where the formatter cannot certify a
+    float) into one reused block of NUL-padded rows, written NULs dropped.
+    Each block is checked for NaN/-inf (``ValueError``) first, as a column
+    may have been written to since the table was built.
     """
     head = [f"# {key} = {value}" for key, value in table.metadata] + [",".join(table.columns)]
     out = io.BytesIO()
     out.write(("\n".join(head) + "\n").encode("utf-8"))
+    buf = np.zeros(0, np.uint8)
     for i in range(0, len(table.data[0]) if table.data else 0, _EMIT_BLOCK_ROWS):
-        cells = [_block_cells(col[i:i + _EMIT_BLOCK_ROWS]) for col in table.data]
-        rows = map(",".join, zip(*cells))
-        while text := "\n".join(islice(rows, _EMIT_TEXT_ROWS)):  # a row is never empty
-            out.write((text + "\n").encode("utf-8"))
+        pieces = []
+        for k, col in enumerate(table.data):
+            block = col[i:i + _EMIT_BLOCK_ROWS]
+            _check_values(block)
+            # formats each value once if at most half are distinct (by bits)
+            keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
+            once = 2 * len(keys) <= len(block)
+            cells, bad = (_float_cells if block.dtype.kind == "f" else _int_cells)(
+                keys.view(block.dtype) if once else block)
+            cells = [np.take(c, inverse) if once else c for c in cells if c.any()]
+            bad = bad[inverse] if once else bad
+            if bad.any():  # the longest repr of a float64 has 24 characters
+                text = np.zeros(len(block), "S24")
+                text[bad] = [repr(v).encode() for v in block[bad].tolist()]
+                cells = [c * ~bad for c in cells] + [text]
+            pieces += [*cells, np.uint8(10 if k == len(table.data) - 1 else 44)]
+        rows = _rows(pieces, len(block), buf)
+        buf = rows.base
+        out.write(rows.tobytes().translate(None, b"\0"))
     return out.getvalue()

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .scenarios import _digits, _rows
+
 __all__ = ["svg_line_chart"]
 
 _WIDTH, _HEIGHT = 720, 480
@@ -52,14 +54,13 @@ def _hundredths(v: np.ndarray) -> np.ndarray:
 
 def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """``"x,y x,y ..."``, each coordinate as ``format(v, '.2f')``, 0 <= v < 1e13."""
-    n = _hundredths(np.stack([xs, ys], axis=1))
-    width = max(3, len(str(int(n.max()))))
-    # digits, a point before the last two, a separator; zero bytes are dropped
-    text = np.zeros(n.shape + (width + 2,), np.uint8)
-    text[..., width - 2], text[..., -1] = ord("."), (ord(","), ord(" "))
-    for i, j in enumerate(range(width - 1, -1, -1)):
-        text[..., i + (j < 2)] = np.where(n < 10 ** j * (j > 2), 0, n // 10 ** j % 10 + 48)
-    return str(text[text != 0][:-1], "ascii")
+    n = _hundredths(np.stack([xs, ys], axis=1)).ravel()
+    whole = n // 100
+    # the whole part, a point and the last two digits; NUL bytes are dropped
+    pieces = [*_digits(whole, lead=True), np.uint8(46),
+              _digits(n - whole * 100, 1)[0] & 0xFFFF0000, np.resize(np.uint8([44, 32]), n.size)]
+    rows = _rows(pieces, n.size, np.zeros(0, np.uint8))
+    return rows.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 
 
 def _fmt(value: float) -> str:

@@ -458,6 +458,27 @@ def test_verify_does_not_import_numpy_ma():
     assert "nearband.verify" in imported and "numpy.ma" not in imported
 
 
+def test_gain_surface_imports_neither_fractions_nor_decimal(tmp_path, scenario_file):
+    # the CSV formatter builds its tables from Python ints; a fractions import
+    # would load decimal into every CLI job
+    env = dict(os.environ, PYTHONPATH=str(Path(nearband.__file__).parents[1]))
+    cfg = scenario_file(MINIMAL + "\n[grid]\ngamma1_points = 5\ngamma2_points = 4\n")
+    run = subprocess.run([sys.executable, "-X", "importtime", "-m", "nearband.cli", "gain-surface",
+                          "--scenario", str(cfg), "--out", str(tmp_path / "s.csv"), "--svg"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK
+    imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+    assert "nearband.scenarios" in imported
+    assert "fractions" not in imported and "decimal" not in imported
+
+
+def test_import_nearband_leaves_scenarios_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(nearband.__file__).parents[1]))
+    code = "import sys, nearband; print('nearband.scenarios' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout.strip() == "False"
+
+
 def test_verify_detects_tampering(monkeypatch, capsys):
     import nearband.fresnel as fresnel_mod
     from nearband.cli import EXIT_VERIFY

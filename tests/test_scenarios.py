@@ -295,3 +295,41 @@ def test_emit_csv_matches_per_cell_oracle(n_rows, floats, ints, seed):
     table = SweepTable(("f", "i", "g", "f32", "i32", "d"), data, (("k", "v"),))
     rows = zip(*(col.tolist() for col in data))
     assert emit_csv(table) == b"# k = v\nf,i,g,f32,i32,d\n" + csv_rows(rows)
+
+
+def _formatter_doubles(n: int, seed: int) -> np.ndarray:
+    """n/2 random 64-bit patterns (NaN and -inf dropped) and n/2 log-uniform
+    magnitudes over [1e-30, 1e30) with random signs."""
+    rng = np.random.default_rng(seed)
+    bits = np.frombuffer(rng.bytes(8 * (n // 2)), np.float64)
+    logu = 10.0 ** rng.uniform(-30, 30, n - n // 2) * rng.choice([-1.0, 1.0], n - n // 2)
+    return np.concatenate([bits[~np.isnan(bits) & (bits != -math.inf)], logu])
+
+
+_FORMATTER_EDGES = [
+    0.0, -0.0, math.inf, 5e-324, 2.0 ** -1022 - 5e-324, 2.0 ** -1022, 1.7976931348623157e308,
+    9.999999999999999e-05, 1e-4, 9999999999999998.0, 1e16, 1e22, 1e23, 0.30000000000000004,
+    1.2e15 + 0.25, 1.2e15 + 0.75, 6e14 + 0.25, 6e14 + 0.75, 2.0 ** 63, 2.0 ** 64,
+    *(2.0 ** k for k in range(-100, 101)), *(10.0 ** k for k in range(-30, 31)),
+    *(float(f"{'12345678912345678'[:d]}e{e}")
+      for d in range(1, 18) for e in (-20, -4, 0, 3, 15, 20)),
+]
+
+
+def test_emit_csv_floats_match_repr():
+    # random bit patterns, log-uniform magnitudes and the layout, rounding-tie,
+    # power-of-two and interval-end cases of the numpy formatter
+    col = np.concatenate([_formatter_doubles(1_000_000, 24), _FORMATTER_EDGES,
+                          [-v for v in _FORMATTER_EDGES if v != math.inf]])
+    blob = emit_csv(SweepTable(("x",), (col,), ()))
+    assert blob == ("x\n" + "\n".join(map(repr, col.tolist())) + "\n").encode()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.uint32, np.uint64])
+def test_emit_csv_ints_match_repr(dtype):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(24)
+    col = np.concatenate([rng.integers(info.min, info.max, 20_000, dtype=dtype, endpoint=True),
+                          np.array([info.min, info.max, 0, 1, 9, 10, 99, 100], dtype)])
+    blob = emit_csv(SweepTable(("i",), (col,), ()))
+    assert blob == ("i\n" + "\n".join(map(repr, col.tolist())) + "\n").encode()
