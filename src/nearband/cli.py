@@ -10,11 +10,19 @@ arguments of the ``--svg`` chart, built from the arrays it swept: at most
 the band map, every gain cut, and the four bmax-curve presets.  Exit
 codes: 0 success, 1 usage error, 2 computation error, 3 verification
 failure.
+
+A process that enters through ``main()`` without ``argv`` (``python -m
+nearband.cli`` and the ``nearband`` console script) first freezes the
+import-time heap, ``gc.freeze()``: numpy and nearband leave about 21,000
+tracked objects that live until exit, and the full collections of
+interpreter shutdown would otherwise traverse them all.  ``main(argv)``
+called in process, and ``import nearband``, leave the collector as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -239,6 +247,8 @@ def _parse_overrides(pairs) -> dict:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # a process entry point: see the module docstring
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
 

@@ -21,6 +21,7 @@ maps yields the design limits exposed here:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
@@ -423,6 +424,7 @@ def bmax(aperture_m: float, tau_linear: float, theta_worst_rad: float) -> float:
 # ---------------------------------------------------------------------------
 
 _BAND_POINTS_PER_DECADE = 64
+_NORMAL_MIN = sys.float_info.min
 
 
 def band_distance(
@@ -446,6 +448,8 @@ def band_distance(
     If the gain already holds above tau over the whole scanned range, the
     scan floor is returned.  The far-field check and the scan do not depend
     on tau and are cached, so a run's thresholds share them at each offset.
+    Raises ``ValueError`` naming aperture_m when the scan range under- or
+    overflows: at 28 GHz, below about 5e-154 m or above about 1.2e102 m.
     """
     _check_finite(f_hz=f_hz)
     _check_positive(fc_hz=fc_hz, aperture_m=aperture_m)
@@ -456,8 +460,7 @@ def band_distance(
 
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
-    r_lo = max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar)
-    r_hi = 1e6 * fraunhofer_distance(lbar, lam)
+    r_lo, r_hi = _scan_range(aperture_m, lam, lbar)
     if _far_gain(fbar, lbar, theta_rad, r_hi / lam) < tau_linear:
         return math.inf
 
@@ -475,6 +478,24 @@ def band_distance(
     p = abs(fbar * lbar * math.sin(theta_rad))
     x = _finish(tau_linear, lambda x, rows: _gain_pq(p, x), g2[1:], g2[:1], f[1:], f[:1])[0]
     return float(lam * 0.5 * (1.0 + fbar) * (lbar * math.cos(theta_rad) / x) ** 2)
+
+
+def _scan_range(aperture_m: float, lam: float, lbar: float) -> tuple[float, float]:
+    """``band_distance``'s scan range [r_lo, r_hi] in metres: the Fresnel-region
+    floor, or 1e-3 lbar^2 wavelengths if larger, up to 1e6x the Fraunhofer
+    distance.  Raises ``ValueError`` naming aperture_m unless lbar^2, both
+    ends and both ends in wavelengths are normal floats, as the scan's gamma
+    map needs: a subnormal end has lost bits, and a zero or infinite one
+    divides by zero or overflows."""
+    try:
+        ends = (max(_fresnel_distance(aperture_m, lam), 1e-3 * lam * lbar * lbar),
+                1e6 * fraunhofer_distance(lbar, lam))
+    except (OverflowError, ValueError):  # aperture_m**3 overflows, or lbar is 0
+        ends = (math.inf, math.inf)
+    if not all(_NORMAL_MIN <= v < math.inf for v in (lbar * lbar, *ends, *(r / lam for r in ends))):
+        raise ValueError(f"aperture_m = {aperture_m!r} at a {lam!r} m wavelength puts "
+                         "band_distance's scan range out of the normal float range")
+    return ends
 
 
 def _ray_gain(fbar: float, lbar: float, theta_rad: float, rbar):

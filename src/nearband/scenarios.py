@@ -39,6 +39,7 @@ from functools import cache
 import numpy as np
 
 from .arrays import _check_count
+from .fresnel import _HUGE
 from .regimes import ThresholdSpec
 
 __all__ = [
@@ -117,6 +118,16 @@ def _check_finite(spec, section: str) -> None:
             raise ScenarioError(f"{section}.{key}: value must be finite")
 
 
+def _check_cutoff(path: str, values, extent: float) -> None:
+    """Reject a grid extent or cut value v for which |v| + extent, the largest
+    |gamma1| + gamma2 it lets the gain kernel see, reaches the kernel's 1e10
+    cutoff: from there C = S = 1/2 on the upper argument, and the gain jumps by
+    orders of magnitude, then reads exactly 0."""
+    if not all(abs(v) + extent < _HUGE for v in values):
+        raise ScenarioError(f"{path}: |gamma1| + gamma2 must stay below {_HUGE:g}, "
+                            "the gain kernel's large-argument cutoff")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     axis: str
@@ -153,6 +164,9 @@ class GridSpec:
         for key in ("gamma1_max", "gamma2_max"):
             if getattr(self, key) <= 0:
                 raise ScenarioError(f"grid.{key}: grid extents must be positive")
+        # the grid's far corner is (gamma1_max, gamma2_max): name the larger extent
+        key = "gamma1_max" if self.gamma1_max >= self.gamma2_max else "gamma2_max"
+        _check_cutoff(f"grid.{key}", (self.gamma1_max,), self.gamma2_max)
         for key in ("gamma1_points", "gamma2_points"):
             if getattr(self, key) < 2:
                 raise ScenarioError(f"grid.{key}: grids need at least 2 points")
@@ -171,6 +185,8 @@ class CutSpec:
         _check_finite(self, "cuts")
         if any(v < 0 for v in self.gamma2_values):
             raise ScenarioError("cuts.gamma2_values: must be nonnegative")
+        for key in ("gamma1_values", "gamma2_values"):
+            _check_cutoff(f"cuts.{key}", getattr(self, key), 0.0)
         if self.points < 2:
             raise ScenarioError("cuts.points: must be >= 2")
         if self.points * (len(self.gamma1_values) + len(self.gamma2_values)) > _MAX_TABLE_ROWS:
@@ -220,6 +236,9 @@ class Scenario:
             raise ScenarioError("scenario.theta_deg: must satisfy |theta| < 90")
         if not (0 < abs(self.theta_worst_deg) < 90):
             raise ScenarioError("scenario.theta_worst_deg: must satisfy 0 < |theta| < 90")
+        # gain-cuts sweeps each cut across the grid's other extent
+        _check_cutoff("cuts.gamma1_values", self.cuts.gamma1_values, self.grid.gamma2_max)
+        _check_cutoff("cuts.gamma2_values", self.cuts.gamma2_values, self.grid.gamma1_max)
 
     @property
     def theta_rad(self) -> float:

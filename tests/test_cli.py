@@ -347,6 +347,27 @@ def test_band_map_names_the_offset_past_the_carrier(tmp_path, scenario_file, cap
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dbar", ["1e-200", "1e200"])
+def test_band_map_names_an_aperture_out_of_float_range(tmp_path, scenario_file, capsys, dbar):
+    out = tmp_path / "b.csv"
+    assert main(["band-map", "--scenario", str(scenario_file(BAND_SWEEP)), "--out", str(out),
+                 "--set", f"dbar={dbar}"]) == EXIT_COMPUTE
+    assert "nearband: aperture_m = " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("gain-cuts", "cuts.gamma1_values", "2e10"),
+    ("gain-surface", "grid.gamma1_max", "1e308"),
+])
+def test_gain_tables_name_an_extent_past_the_kernel_cutoff(tmp_path, scenario_file, capsys,
+                                                           command, key, value):
+    out = tmp_path / "g.csv"
+    assert main([command, "--scenario", str(scenario_file(MINIMAL)), "--out", str(out),
+                 "--set", f"{key}={value}"]) == EXIT_USAGE
+    assert f"nearband: {key}: |gamma1| + gamma2 must stay below" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_oversized_n_antennas_is_a_usage_error(tmp_path, scenario_file, capsys):
     # n_antennas * dbar must stay a finite float in band-map
     out = tmp_path / "b.csv"
@@ -477,6 +498,32 @@ def test_import_nearband_leaves_scenarios_unloaded():
     code = "import sys, nearband; print('nearband.scenarios' in sys.modules)"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert run.returncode == 0 and run.stdout.strip() == "False"
+
+
+def _fresh_process(code: str) -> str:
+    """The last stdout line of ``python -c code`` run against this package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(nearband.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1]
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    # the console script and python -m nearband.cli call main() without argv
+    code = ("import gc, sys\nfrom nearband.cli import main\n"
+            "sys.argv = ['nearband', 'verify']\nmain()\nprint(gc.get_freeze_count())")
+    assert int(_fresh_process(code)) > 0
+
+
+@pytest.mark.parametrize("setup", ["", "gc.disable()"])
+def test_import_and_in_process_main_leave_the_collector_alone(setup):
+    code = (f"import contextlib, gc, io\n{setup}\n"
+            "state = lambda: (gc.get_freeze_count(), gc.isenabled())\n"
+            "before = state()\nimport nearband\nafter_import = state()\n"
+            "from nearband.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n    main(['verify'])\n"
+            "print(before == after_import == state())")
+    assert _fresh_process(code) == "True"
 
 
 def test_verify_detects_tampering(monkeypatch, capsys):

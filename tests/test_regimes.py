@@ -460,6 +460,27 @@ def test_band_distance_inf_costs_one_kernel_call(monkeypatch):
     assert regimes_mod._scan.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("aperture", [1e-200, 4e-154, 2e102, 1e200])
+def test_band_distance_names_an_aperture_whose_scan_range_leaves_float_range(monkeypatch,
+                                                                             aperture):
+    # below about 5e-154 m at 28 GHz the scan's floor is subnormal (and its
+    # gamma map divides by zero further down); above about 1.2e102 m L^3 overflows
+    _band_clear()
+    calls = _count_kernel(monkeypatch)
+    with pytest.raises(ValueError, match=r"aperture_m = .* scan range"):
+        band_distance(2e8, _BAND_FC, 0.9, aperture, 0.5)
+    assert calls == []
+
+
+@pytest.mark.parametrize("aperture", [1e-152, 1e102])
+def test_band_distance_scales_as_aperture_squared_up_to_the_range_edges(aperture):
+    # at broadside and zero offset the distance is a constant times L^2 / lambda
+    tau = _db(-3.0)
+    unit = band_distance(0.0, _BAND_FC, tau, 1.0, 0.0)
+    assert band_distance(0.0, _BAND_FC, tau, aperture, 0.0) == pytest.approx(
+        unit * aperture**2, rel=1e-13)
+
+
 def test_band_distance_thresholds_share_the_check_and_the_scan(monkeypatch):
     _band_clear()
     calls = _count_kernel(monkeypatch)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from nearband.fresnel import _HUGE
 from nearband.regimes import ThresholdSpec
 from nearband.scenarios import (
     CutSpec,
@@ -99,6 +100,10 @@ def test_rejections(mutation, fragment):
     (lambda: GridSpec(gamma2_max=-1.0), "grid.gamma2_max: grid extents must be positive"),
     (lambda: GridSpec(gamma1_points=1001, gamma2_points=1000), "grid.gamma1_points: .* <= 1000000"),
     (lambda: GridSpec(gamma2_max=math.inf), "grid.gamma2_max: value must be finite"),
+    # |gamma1| + gamma2 reaching the gain kernel's cutoff names the larger extent
+    (lambda: GridSpec(gamma1_max=_HUGE - 1.0, gamma2_max=1.0),
+     "grid.gamma1_max: |gamma1| .* must stay below 1e.10"),
+    (lambda: GridSpec(gamma2_max=1e308), "grid.gamma2_max: |gamma1| .* must stay below 1e.10"),
     (lambda: SweepSpec("f_hz", 5.0, 1.0, 4), "sweep.min: must be strictly less than sweep.max"),
     (lambda: SweepSpec("f_hz", 0.0, 1.0, 10**4 + 1), "sweep.points: must be <= 10000"),
     (lambda: SweepSpec("f_hz", 5.0, 10.0, 4, "cubic"), "sweep.scale: expected linear|log"),
@@ -107,6 +112,13 @@ def test_rejections(mutation, fragment):
     (lambda: CutSpec(points=1), "cuts.points: must be >= 2"),
     (lambda: CutSpec(gamma2_values=(1.0, -0.5)), "cuts.gamma2_values: must be nonnegative"),
     (lambda: CutSpec(gamma1_values=(math.nan,)), "cuts.gamma1_values: value must be finite"),
+    (lambda: CutSpec(gamma1_values=(0.0, -2e10)), "cuts.gamma1_values: |gamma1| .* below 1e.10"),
+    (lambda: CutSpec(gamma2_values=(_HUGE,)), "cuts.gamma2_values: |gamma1| .* below 1e.10"),
+    # each cut sweeps the grid's other extent, 3.0 by default
+    (lambda: Scenario(39e9, 64, -1.0, "n260", cuts=CutSpec(gamma1_values=(3.0 - _HUGE,))),
+     "cuts.gamma1_values: |gamma1| .* must stay below 1e.10"),
+    (lambda: Scenario(39e9, 64, -1.0, "n260", cuts=CutSpec(gamma2_values=(_HUGE - 3.0,))),
+     "cuts.gamma2_values: |gamma1| .* must stay below 1e.10"),
     (lambda: Scenario(30e9, 64, -1.0, "n260"), "scenario.carrier_hz: conflicts with preset 'n260'"),
     (lambda: Scenario(39e9, 0, -1.0, "n260"), "scenario.n_antennas: must be >= 1"),
     (lambda: Scenario(39e9, 10**6 + 1, -1.0, "n260"), "scenario.n_antennas: must be <= 1000000"),
@@ -118,6 +130,15 @@ def test_rejections(mutation, fragment):
 def test_types_enforce_the_document_limits(build, message):
     with pytest.raises(ScenarioError, match=message.replace("|", r"\|")):
         build()
+
+
+def test_grid_and_cuts_reach_up_to_the_kernel_cutoff():
+    # the largest extents whose |gamma1| + gamma2 stays below the cutoff
+    below = math.nextafter(_HUGE - 3.0, 0.0)
+    grid = GridSpec(gamma1_max=below, gamma2_max=3.0)
+    Scenario(39e9, 64, -1.0, "n260", grid=grid, cuts=CutSpec(gamma1_values=(0.0,),
+                                                           gamma2_values=(3.0,)))
+    Scenario(39e9, 64, -1.0, "n260", cuts=CutSpec(gamma1_values=(-below,), gamma2_values=(below,)))
 
 
 def test_custom_preset_roundtrip():
