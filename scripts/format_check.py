@@ -1,11 +1,13 @@
 """Check the CSV float formatter against ``repr`` on seeded random doubles.
 
 Sends ``--count`` doubles through ``emit_csv``, in chunks of 10**6: in each
-chunk, half are random 64-bit patterns (NaN and -inf dropped, as tables
-reject them) and half are log-uniform magnitudes over [1e-30, 1e30) with
-random signs.  Every cell must equal ``repr(float(x))``; the first mismatch
-is printed and the script exits 1.  At the end it prints how many cells the
-numpy formatter left to ``repr``, per kind of draw.
+chunk, a third are random 64-bit patterns (NaN and -inf dropped, as tables
+reject them), a third are log-uniform magnitudes over [1e-30, 1e30) and a
+third log-uniform over [1e-5, 1e17), where most cells are in fixed notation
+and so formatted in numpy; both log-uniform kinds have random signs.  Every
+cell must equal ``repr(float(x))``; the first mismatch is printed and the
+script exits 1.  At the end it prints how many cells the numpy formatter
+left to ``repr``, per kind of draw: those ``repr`` writes in exponent form.
 
     python scripts/format_check.py                         # 10**7 values
     python scripts/format_check.py --count 1000000 --seed 7
@@ -29,7 +31,8 @@ from nearband.scenarios import _EMIT_BLOCK_ROWS, SweepTable, _float_cells, emit_
 def draws(rng, n: int) -> dict:
     bits = np.frombuffer(rng.bytes(8 * n), np.float64)
     return {"bit pattern": bits[~np.isnan(bits) & (bits != -math.inf)],
-            "log-uniform": 10.0 ** rng.uniform(-30, 30, n) * rng.choice([-1.0, 1.0], n)}
+            "log-uniform": 10.0 ** rng.uniform(-30, 30, n) * rng.choice([-1.0, 1.0], n),
+            "log-uniform 1e-5..1e17": 10.0 ** rng.uniform(-5, 17, n) * rng.choice([-1.0, 1.0], n)}
 
 
 def main() -> int:
@@ -40,7 +43,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed)
     cells, fallback = {}, {}
     for start in range(0, args.count, 1_000_000):
-        for kind, col in draws(rng, min(1_000_000, args.count - start) // 2).items():
+        for kind, col in draws(rng, min(1_000_000, args.count - start) // 3).items():
             got = emit_csv(SweepTable(("x",), (col,), ())).split(b"\n")[1:-1]
             for value, text in zip(col.tolist(), got):
                 if text != repr(value).encode():

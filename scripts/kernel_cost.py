@@ -8,7 +8,8 @@ figure is the minimum over ``--repeat`` timings of ``--number`` calls
 ``band_distance`` and the CSV rows), per call.  Three more rows give the
 cost per cell of ``emit_csv`` on one 8192-row column, next to ``repr`` of
 the same cells: gains in dB (16-17 digit floats), a sweep axis of short
-decimals, and integers.
+decimals (401 values, each on 21 rows in a row, formatted once per cell
+like any other column), and integers.
 
     python scripts/kernel_cost.py                          # 15 x 200 calls
     python scripts/kernel_cost.py --repeat 2 --number 5    # a quick smoke run
@@ -64,7 +65,7 @@ BAND_GEOMETRIES = [
 ]
 
 
-# one 8192-row emit_csv column each: gains in dB, a sweep axis, integers
+# one 8192-row emit_csv column each: gains in dB, a sweep axis with repeats, integers
 CSV_COLUMNS = [
     ("gain_db", to_db(gain_closed_form(np.linspace(-3.0, 3.0, 8192), 1.3))),
     ("sweep axis", np.repeat(np.linspace(-3.2, 3.2, 401), 21)[:8192]),

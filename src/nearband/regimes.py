@@ -414,9 +414,13 @@ def aperture_bandwidth_bound(tau_linear: float, theta_worst_rad: float) -> float
 
 
 def bmax(aperture_m: float, tau_linear: float, theta_worst_rad: float) -> float:
-    """Maximum usable bandwidth (Hz) for a fixed aperture at a gain threshold."""
+    """Maximum usable bandwidth (Hz) for a fixed aperture at a gain threshold: ``inf``
+    at broadside; ``ValueError`` naming aperture_m when a finite band overflows."""
     _check_positive(aperture_m=aperture_m)
-    return aperture_bandwidth_bound(tau_linear, theta_worst_rad) / aperture_m
+    bound = aperture_bandwidth_bound(tau_linear, theta_worst_rad)
+    if bound / aperture_m == math.inf > bound:
+        raise ValueError(f"aperture_m = {aperture_m!r} is too small: the band over it overflows")
+    return bound / aperture_m
 
 
 # ---------------------------------------------------------------------------

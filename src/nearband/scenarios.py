@@ -24,8 +24,9 @@ Angles are degrees at this interface and radians inside the library.
 CSV output is deterministic byte-for-byte: '#'-prefixed metadata lines,
 a header row, then data rows with decimal integers, shortest round-trip
 floats and LF line endings.  A diverged distance is written as ``inf``.
-Rows are formatted a block at a time; a block column that repeats its
-values, as sweep axes do, formats each distinct value once.
+Rows are formatted a block at a time, each cell in numpy unless ``repr``
+writes it in exponent form (below 1e-4 or from 1e16 in magnitude, or
+``inf``), which ``repr`` itself writes.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "Scenario",
     "SweepTable",
     "parse_scenario",
-    "serialize_scenario",
     "emit_csv",
     "PRESET_CARRIER_HZ",
 ]
@@ -375,30 +375,6 @@ def parse_scenario(text: str, overrides: dict | None = None,
     )
 
 
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical document for a Scenario; parse(serialize(s)) == s.
-
-    A key is written when its value differs from the field default, and
-    carrier_hz only for the custom preset.  Thresholds are written as their
-    dB echo, so the round trip is exact for thresholds built from dB; one
-    read with ``--linear`` comes back as ``from_db`` of its echo.
-    """
-    out = io.StringIO()
-    out.write(f"[scenario]\nschema_version = {SCHEMA_VERSION}\n")
-    for section, cls in _SECTIONS.items():
-        spec = scenario if cls is Scenario else getattr(scenario, section)
-        if spec is None:
-            continue
-        keys = [(key, getattr(spec, f.name)) for f, key in _keys(cls)
-                if getattr(spec, f.name) != f.default
-                and (f.name != "carrier_hz" or scenario.band_preset == "custom")]
-        if keys and cls is not Scenario:
-            out.write(f"\n[{section}]\n")
-        for key, value in keys:
-            out.write(f"{key} = {_key_text(value)}\n")
-    return out.getvalue()
-
-
 def _key_text(value) -> str:
     """A key's value as document text; a threshold as its dB echo."""
     if isinstance(value, (str, tuple)):
@@ -412,34 +388,30 @@ _EMIT_BLOCK_ROWS = 2048
 @cache
 def _tables():
     """Built on first use: 4-digit groups as ASCII (as is, and with trailing, leading but
-    the last, or leading zeros NUL), 10**k from Python ints as a double-double and the least
-    double >= 10**k (k = -30..46), the text around a cell's digits by exponent, 10**k."""
+    the last, or leading zeros NUL); for k = -4..16 the least double >= 10**k (from Python
+    ints; 1e-1..1e-4 round up) and the text ahead of a cell's digits; 10.0**k to k = 20
+    and 10**k to k = 16."""
     d = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
     seen, after = (np.logical_or.accumulate(z, axis=1) for z in (d > 0, d[:, ::-1] > 0))
     but_last = seen | (np.arange(4) == 3)
     groups = np.concatenate([(d + 48) * k for k in (1, after[:, ::-1], but_last, seen)])
-    hi = [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-30, 47)]  # int / int rounds
-    lo = [(10 ** max(k, 0) * den - num * 10 ** -min(k, 0)) / (den * 10 ** -min(k, 0))
-          for k, (num, den) in zip(range(-30, 47), (f.as_integer_ratio() for f in hi))]
-    head = [s + (b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"")
-            for e in range(-30, 31) for s in (b"", b"-")]
-    tail = [b"e%+03d" % e if not -4 <= e < 16 else b"" for e in range(-30, 31)]
-    return (groups.view("<u4").ravel(), np.array(hi), np.array(lo),
-            np.array([f if r <= 0 else math.nextafter(f, 1e47) for f, r in zip(hi, lo)]),
+    tens = [float(10 ** k) if k >= 0 else 1 / 10 ** -k for k in range(-4, 17)]  # int / int rounds
+    head = [s + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+            for e in range(-4, 17) for s in (b"", b"-")]
+    return (groups.view("<u4").ravel(), np.array(tens),
             np.frombuffer(b"".join(s.ljust(8, b"\0") for s in head), "<u8"),
-            np.frombuffer(b"".join(s.ljust(4, b"\0") for s in tail), "<u4"),
-            np.array([10 ** k for k in range(19)]))
+            np.array([float(10 ** k) for k in range(21)]), np.array([10 ** k for k in range(17)]))
 
 
-def _digits(v, k: int = 0, lead=None) -> list:
+def _digits(v, k: int = 0, lead: bool = True) -> list:
     """Integers 0 <= v < 10**(4k) as k arrays of 4 ASCII digits (k = 0: as many as
-    v needs); NUL for leading zeros but the last with ``lead``, trailing ones with False."""
+    v needs); NUL for leading zeros but the last with ``lead``, else for trailing ones."""
     table, parts, k = _tables()[0], [], k or -(-len(str(v.max())) // 4)
     for j in range(k - 1, 0, -1):
         parts.append(v // 10 ** (4 * j))
         v = v - parts[-1] * 10 ** (4 * j)
-    parts, blank = [g.astype(np.int64) for g in (*parts, v)], lead is not None
-    for j in range(k) if lead or lead is None else range(k - 1, -1, -1):
+    parts, blank = [g.astype(np.int64) for g in (*parts, v)], True
+    for j in range(k) if lead else range(k - 1, -1, -1):
         at = (20_000 + 10_000 * (j < k - 1)) if lead else 10_000
         parts[j], blank = np.take(table, parts[j] + at * blank), blank & (parts[j] == 0)
     return parts
@@ -448,24 +420,23 @@ def _digits(v, k: int = 0, lead=None) -> list:
 def _float_cells(x: np.ndarray) -> tuple:
     """``repr(float(v))`` for a float column block: pieces (1-D arrays whose
     bytes, row by row with NULs dropped, are the cells) and the cells left to
-    ``repr``.  |v| * 10**(16 - q) = big + frac (10**16 <= big < 10**17) by a
-    Dekker product; the digits are those of the multiple of 100, 10 or 1
-    nearest to it in the round-trip interval (closed for an even mantissa; a
-    tie to the even digit).  Exact where 10**(16 - q) is a double, for
-    1e-4 <= |v| < 1e17; elsewhere a decision within 2**-30 of an edge goes to
-    ``repr``, as do 0 < |v| < 1e-30, |v| >= 1e30 and inf."""
-    _, p_hi, p_lo, tens, heads, tails, pow10 = _tables()
+    ``repr``: those it writes in exponent form, inf and every v != 0 outside
+    1e-4 <= |v| < 1e16.  In there, |v| * 10**(16 - q) = big + frac
+    (10**16 <= big < 10**17) by a Dekker product, exact as 10**(16 - q) <= 1e20
+    is a double; the digits are those of the multiple of 100, 10 or 1 nearest
+    to it in the round-trip interval (closed for an even mantissa; a tie to
+    the even digit)."""
+    _, tens, heads, scale, pow10 = _tables()
     a = np.abs(x.astype(np.float64))
     bits, zero = a.view(np.int64), a == 0
-    bad = (a < 1e-30) & ~zero | (a >= 1e30)
+    bad = ~((a >= 1e-4) & (a < 1e16) | zero)
     a[bad | zero] = 1.5
-    q = np.floor(np.log10(a)).astype(np.int64)
-    q += (a >= np.take(tens, q + 31)).astype(np.int64) - (a < np.take(tens, q + 30))
-    ph = np.take(p_hi, 46 - q)
+    q = np.clip(np.floor(np.log10(a)), -4, 15).astype(np.int64)
+    q += (a >= np.take(tens, q + 5)).astype(np.int64) - (a < np.take(tens, q + 4))
+    ph = np.take(scale, 16 - q)
     p = a * ph
     ahi, phi = (c - (c - v) for v, c in ((a, a * 134217729.0), (ph, ph * 134217729.0)))
-    err = (ahi * phi - p + ahi * (ph - phi) + (a - ahi) * phi + (a - ahi) * (ph - phi)
-           + a * np.take(p_lo, 46 - q))
+    err = ahi * phi - p + ahi * (ph - phi) + (a - ahi) * phi + (a - ahi) * (ph - phi)
     big, frac = p.astype(np.int64) + np.floor(err).astype(np.int64), err - np.floor(err)
     # half-gaps to the next doubles; d - h < tau: d < h, or d <= h if even
     h = ((bits & 0x7FF0000000000000) - (53 << 52)).view(np.float64) * ph
@@ -474,27 +445,20 @@ def _float_cells(x: np.ndarray) -> tuple:
     hi = big // 100
     m = (big - hi * 100).astype(np.float64)
     m10 = m - 10 * np.floor(m * 0.1)
-    c, near = np.rint(m + frac), np.minimum(abs(frac - 0.5), abs(m10 + frac - 5))
+    c = np.rint(m + frac)
     even = ((big // 10 & 1) == 0) * 1e-300
     for r, base, step, tie in ((m10 + frac, m - m10, 10, even), (m + frac, 0, 100, 0)):
-        up = step - r
-        ok_dn, ok_up = r - h_lo < tau, up - h < tau
+        ok_dn, ok_up = r - h_lo < tau, step - r - h < tau
         c = np.where(ok_dn | ok_up, base + step * ~(ok_dn & (r - step / 2 < tie)), c)
-        near = np.minimum(near, np.minimum(abs(r - h), abs(up - h)))
-    bad |= ((q < -4) | (q > 16)) & ((h_lo != h) | (near < 2.0 ** -30))
-    N = hi * 100 + c.astype(np.int64)
-    E = q + (N == 10 ** 17)
-    N[N == 10 ** 17] = 10 ** 16
-    N[zero], E[zero] = 0, 0
-    # A, B: the digits ahead of the point (E + 1 in fixed point) and after it
-    fixed = (E >= 0) & (E <= 15)
-    split = np.take(pow10, 16 - E * fixed)
-    A = N // split
-    B = (N - A * split) * np.take(pow10, E * fixed)
-    tail = np.take(tails, E + 30)
-    dot = (fixed | (tail != 0) & (B != 0)) * np.uint16(46) + (fixed & (B == 0)) * np.uint16(0x3000)
-    return ([np.take(heads, 2 * E + 60 + np.signbit(x)), *_digits(A, lead=True), dot,
-             *_digits(B, 4, False), tail], bad)
+    # N < 10**17: 10**(q + 1) is a double or rounds up to one, so never reads back as v
+    N = (hi * 100 + c.astype(np.int64)) * ~zero
+    # A, B: the digits ahead of the point (q + 1 if q >= 0) and after it
+    fixed = q >= 0
+    A, B = np.divmod(N, np.take(pow10, 16 - q * fixed))
+    B *= np.take(pow10, q * fixed)
+    dot = fixed * np.uint16(46) + (fixed & (B == 0)) * np.uint16(0x3000)
+    return ([np.take(heads, 2 * q + 8 + np.signbit(x)), *_digits(A, lead=True), dot,
+             *_digits(B, 4, False)], bad)
 
 
 def _int_cells(v: np.ndarray) -> tuple:
@@ -519,8 +483,8 @@ def emit_csv(table: SweepTable) -> bytes:
     """Serialize a table deterministically: metadata, header, rows, LF-only.
 
     Each cell is ``repr`` of its Python number, formatted in numpy a column
-    block at a time (``repr`` itself where the formatter cannot certify a
-    float) into one reused block of NUL-padded rows, written NULs dropped.
+    block at a time (``repr`` itself for a float it writes in exponent form)
+    into one reused block of NUL-padded rows, written NULs dropped.
     Each block is checked for NaN/-inf (``ValueError``) first, as a column
     may have been written to since the table was built.
     """
@@ -533,13 +497,8 @@ def emit_csv(table: SweepTable) -> bytes:
         for k, col in enumerate(table.data):
             block = col[i:i + _EMIT_BLOCK_ROWS]
             _check_values(block)
-            # formats each value once if at most half are distinct (by bits)
-            keys, inverse = np.unique(block.view(f"i{block.itemsize}"), return_inverse=True)
-            once = 2 * len(keys) <= len(block)
-            cells, bad = (_float_cells if block.dtype.kind == "f" else _int_cells)(
-                keys.view(block.dtype) if once else block)
-            cells = [np.take(c, inverse) if once else c for c in cells if c.any()]
-            bad = bad[inverse] if once else bad
+            cells, bad = (_float_cells if block.dtype.kind == "f" else _int_cells)(block)
+            cells = [c for c in cells if c.any()]
             if bad.any():  # the longest repr of a float64 has 24 characters
                 text = np.zeros(len(block), "S24")
                 text[bad] = [repr(v).encode() for v in block[bad].tolist()]

@@ -56,9 +56,9 @@ def _points(xs: np.ndarray, ys: np.ndarray) -> str:
     """``"x,y x,y ..."``, each coordinate as ``format(v, '.2f')``, 0 <= v < 1e13."""
     n = _hundredths(np.stack([xs, ys], axis=1)).ravel()
     whole = n // 100
-    # the whole part, a point and the last two digits; NUL bytes are dropped
-    pieces = [*_digits(whole, lead=True), np.uint8(46),
-              _digits(n - whole * 100, 1)[0] & 0xFFFF0000, np.resize(np.uint8([44, 32]), n.size)]
+    # the whole part, a point and the two fraction digits; NUL bytes are dropped
+    frac = (0x3030 + n // 10 % 10 + n % 10 * 256).astype("<u2")  # two ASCII digits
+    pieces = [*_digits(whole, lead=True), np.uint8(46), frac, np.resize(np.uint8([44, 32]), n.size)]
     rows = _rows(pieces, n.size, np.zeros(0, np.uint8))
     return rows.tobytes().translate(None, b"\0")[:-1].decode("ascii")
 

@@ -355,6 +355,14 @@ def test_band_map_names_an_aperture_out_of_float_range(tmp_path, scenario_file, 
     assert "nearband: aperture_m = " in capsys.readouterr().err
 
 
+def test_bmax_curve_names_an_aperture_whose_band_overflows(tmp_path, scenario_file, capsys):
+    out = tmp_path / "b.csv"
+    assert main(["bmax-curve", "--scenario", str(scenario_file(TAU_SWEEP)), "--out", str(out),
+                 "--set", "dbar=1e-320"]) == EXIT_COMPUTE
+    assert "nearband: aperture_m = 1.37" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, key, value", [
     ("gain-cuts", "cuts.gamma1_values", "2e10"),
     ("gain-surface", "grid.gamma1_max", "1e308"),

@@ -300,6 +300,15 @@ def test_bmax_scaling_and_preset_value():
         bmax(0.0, tau, theta_w)
 
 
+def test_bmax_names_an_aperture_whose_band_overflows():
+    with pytest.raises(ValueError, match="aperture_m = 1e-300 is too small"):
+        bmax(1e-300, 0.5, math.radians(60))
+    # a finite band keeps its value, and broadside keeps the inf sentinel
+    assert bmax(1e-299, 0.5, math.radians(60)) == aperture_bandwidth_bound(
+        0.5, math.radians(60)) / 1e-299
+    assert bmax(1e-300, 0.5, 0.0) == math.inf
+
+
 # ---------------------------------------------------------------------------
 # band_distance
 # ---------------------------------------------------------------------------
