@@ -16,7 +16,8 @@ like any other column), and integers.
 
 The finite ``band_distance`` cycles through eight geometries, more than
 its scan cache holds, so every call scans and finishes; the ``inf`` call
-stops at the far-field check, which is cached.  It imports nearband from
+stops at the far-field check, |sinc(p)| below tau, which costs no kernel
+call and which nothing caches.  It imports nearband from
 the ``src`` directory of the checkout it sits in, ahead of any installed
 copy, so it times that working tree and needs no install.
 """
@@ -113,7 +114,8 @@ def main() -> None:
     beyond = band_args(*BAND_GEOMETRIES[0][:4], 1.5)
     if not math.isinf(band_distance(*beyond)):
         sys.exit("the inf band_distance geometry returned a finite distance")
-    rows.append(("inf band_distance", per_call(lambda: band_distance(*beyond), rep, num)))
+    rows.append(("inf band_distance, no kernel call",
+                 per_call(lambda: band_distance(*beyond), rep, num)))
     for name, col in CSV_COLUMNS:
         table = SweepTable(("x",), (col,), ())
         emit = per_call(lambda: emit_csv(table), rep, max(num // 20, 1), col.size)

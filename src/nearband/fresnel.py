@@ -387,6 +387,7 @@ def _gain_block(g1: np.ndarray, g2: np.ndarray, p: np.ndarray, out: np.ndarray) 
         c, s = np.empty((2, 2 * n))
         _fresnel_cs_block(np.concatenate((xp[sel], xm[sel])), c, s)
         out[sel] = np.hypot(c[:n] - c[n:], s[:n] - s[n:]) / (2.0 * g2[sel])
+    np.minimum(out, 1.0, out=out)  # rounding can lift G above 1, which the true G never exceeds
 
 
 def _gain_pq(p, gamma2) -> np.ndarray:

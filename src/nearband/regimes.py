@@ -86,6 +86,10 @@ class ThresholdSpec:
 
     def __post_init__(self):
         _check_threshold(self.tau_linear, "ThresholdSpec")
+        if not (self.tau_linear == 10.0 ** (min(self.tau_db, 0.0) / 10.0)
+                or self.tau_db == 10.0 * math.log10(self.tau_linear)):
+            raise ValueError(f"ThresholdSpec tau_linear = {self.tau_linear!r} and "
+                             f"tau_db = {self.tau_db!r} are not the same threshold")
 
     @classmethod
     def from_db(cls, tau_db: float) -> "ThresholdSpec":
@@ -445,13 +449,14 @@ def band_distance(
     Along the ray p = gamma1*gamma2 = -fbar lbar sin(theta) is fixed, and
     the crossing's scan cell is finished in gamma2 by the solvers' shared
     secant, to a few ulp, and mapped back to metres.  Returns the ``inf``
-    sentinel when no finite distance qualifies: past the far-field edge
-    |f| > far_field_product(tau) * fc / (lbar |sin theta|), where the
-    large-distance gain limit falls below tau.  That edge is B_max/2 only
-    where product_max equals the far-field root (above about -2.81 dB).
-    If the gain already holds above tau over the whole scanned range, the
-    scan floor is returned.  The far-field check and the scan do not depend
-    on tau and are cached, so a run's thresholds share them at each offset.
+    sentinel when no finite distance qualifies: when the large-distance
+    gain limit |sinc(p)| is below tau, found with no kernel call, or when
+    the scan's far end is, so the crossing lies past the scan.  |sinc(p)|
+    first falls below tau at the main-lobe edge |f| = far_field_product(tau)
+    * fc / (lbar |sin theta|), B_max/2 above about -2.81 dB; below about
+    -6.6 dB, sidelobe offsets past that edge can be finite.  If the gain
+    holds above tau over the whole scan, the scan floor is returned.  Only
+    the scan is cached: it does not depend on tau, so thresholds share it.
     Raises ``ValueError`` naming aperture_m when the scan range under- or
     overflows: at 28 GHz, below about 5e-154 m or above about 1.2e102 m.
     """
@@ -465,21 +470,22 @@ def band_distance(
     lam = SPEED_OF_LIGHT_M_S / fc_hz
     lbar = aperture_m / lam
     r_lo, r_hi = _scan_range(aperture_m, lam, lbar)
-    if _far_gain(fbar, lbar, theta_rad, r_hi / lam) < tau_linear:
+    p = abs(fbar * lbar * math.sin(theta_rad))
+    if abs(np.sinc(p)) < tau_linear:
         return math.inf
 
     decades = math.log10(r_hi / r_lo)
     n = max(int(math.ceil(decades * _BAND_POINTS_PER_DECADE)), 2) + 1
-    rbars, gains = _scan(fbar, lbar, theta_rad, r_lo / lam, r_hi / lam, n)
+    g2, gains = _scan(fbar, lbar, theta_rad, r_lo / lam, r_hi / lam, n)
+    if gains[-1] < tau_linear:  # the gain rises back to |sinc(p)| past the scan
+        return math.inf
     below = gains < tau_linear
     if not below.any():
         return r_lo
     i = int(np.flatnonzero(below)[-1])
 
     # the gain falls as gamma2 grows: the cell's far end is the bracket's lower end
-    g2 = _gamma_map(fbar, rbars[i:i + 2], lbar, theta_rad)[1]
-    f = gains[i:i + 2] - tau_linear
-    p = abs(fbar * lbar * math.sin(theta_rad))
+    g2, f = g2[i:i + 2], gains[i:i + 2] - tau_linear
     x = _finish(tau_linear, lambda x, rows: _gain_pq(p, x), g2[1:], g2[:1], f[1:], f[:1])[0]
     return float(lam * 0.5 * (1.0 + fbar) * (lbar * math.cos(theta_rad) / x) ** 2)
 
@@ -502,25 +508,14 @@ def _scan_range(aperture_m: float, lam: float, lbar: float) -> tuple[float, floa
     return ends
 
 
-def _ray_gain(fbar: float, lbar: float, theta_rad: float, rbar):
-    """Gain at normalized distance(s) rbar along the ray of offset fbar."""
-    p = abs(fbar * lbar * math.sin(theta_rad))
-    return _gain_pq(p, _gamma_map(fbar, rbar, lbar, theta_rad)[1])
-
-
-@lru_cache(maxsize=4)
-def _far_gain(fbar: float, lbar: float, theta_rad: float, rbar_hi: float) -> float:
-    """``band_distance``'s far-field check: the gain at the scan's far end."""
-    return float(_ray_gain(fbar, lbar, theta_rad, rbar_hi))
-
-
 @lru_cache(maxsize=4)
 def _scan(fbar: float, lbar: float, theta_rad: float, rbar_lo: float, rbar_hi: float, n: int):
-    """``band_distance``'s scan: n log-spaced distances and their gains, read-only."""
-    rbars = np.geomspace(rbar_lo, rbar_hi, n)
-    gains = _ray_gain(fbar, lbar, theta_rad, rbars)
-    rbars.flags.writeable = gains.flags.writeable = False
-    return rbars, gains
+    """``band_distance``'s scan along the ray of offset fbar: gamma2 at n
+    log-spaced distances from rbar_lo to rbar_hi and the gain there, read-only."""
+    g2 = _gamma_map(fbar, np.geomspace(rbar_lo, rbar_hi, n), lbar, theta_rad)[1]
+    gains = _gain_pq(abs(fbar * lbar * math.sin(theta_rad)), g2)
+    g2.flags.writeable = gains.flags.writeable = False
+    return g2, gains
 
 
 def effective_rayleigh_distance(theta_rad: float, lbar: float, wavelength_m: float) -> float:

@@ -156,8 +156,19 @@ def test_gain_bounded_by_one():
     g1 = np.linspace(-6.0, 6.0, 121)
     g2 = np.linspace(6.0 / 120, 6.0, 120)
     gains = gain_closed_form(g1[:, None], g2[None, :])
-    assert gains.max() <= 1.0 + 1e-12
+    assert gains.max() <= 1.0
     assert gains.min() >= 0.0
+
+
+def test_gain_never_rounds_above_one():
+    # at small gamma2 the C, S differences cancel, and rounding once lifted
+    # G to 1.0000000004702465 here; the true gain never exceeds 1
+    assert gain_closed_form(1.493724033356047, 5.310623897929933e-07) == 1.0
+    rng = np.random.default_rng(29)
+    g2 = 10.0 ** rng.uniform(-7.0, -2.0, 20000)
+    g1 = rng.uniform(0.0, 3.0, g2.size)
+    gains = gain_closed_form(g1, g2)
+    assert gains.max() <= 1.0
 
 
 def test_gain_negative_gamma2_rejected():

@@ -141,6 +141,21 @@ def test_threshold_spec():
         ThresholdSpec(1.0, 0.0)
 
 
+def test_threshold_spec_rejects_units_that_disagree():
+    # 0.5 is -3.01 dB: a spec echoing 7.0 dB beside it would mislabel every row
+    with pytest.raises(ValueError, match=r"tau_linear = 0\.5 and tau_db = 7\.0"):
+        ThresholdSpec(0.5, 7.0)
+    with pytest.raises(ValueError, match="ThresholdSpec"):
+        ThresholdSpec(_db(-1.0), -2.0)
+    # either unit may be the one given; the other is derived from it bit for bit
+    for tau_db in (-0.2, -1.0, -3.0, -11.25, -40.0):
+        spec = ThresholdSpec.from_db(tau_db)
+        assert ThresholdSpec(spec.tau_linear, spec.tau_db) == spec
+    for tau in (0.1, 0.3, 0.5, 0.95, 1.0 - 2.0**-53):
+        spec = ThresholdSpec.from_linear(tau)
+        assert ThresholdSpec(spec.tau_linear, spec.tau_db) == spec
+
+
 # ---------------------------------------------------------------------------
 # product_max and the derived bounds
 # ---------------------------------------------------------------------------
@@ -422,7 +437,6 @@ _BAND_TAUS = (0.9, 0.6, _db(-2.0))
 
 
 def _band_clear():
-    regimes_mod._far_gain.cache_clear()
     regimes_mod._scan.cache_clear()
 
 
@@ -431,9 +445,9 @@ def _band(f, tau):
 
 
 def test_band_distance_is_the_same_cold_and_warm_in_any_order():
-    # each offset's far-field check and scan are cached for the thresholds
-    # that follow; no call order may change a bit, and neither may an
-    # offset of -0.0, which shares its cache entry with 0.0
+    # each offset's scan is cached for the thresholds that follow; no call
+    # order may change a bit, and neither may an offset of -0.0, which
+    # shares its cache entry with 0.0
     pairs = [(f, tau) for f in _BAND_OFFSETS for tau in _BAND_TAUS]
     cold = {}
     for f, tau in pairs:
@@ -460,13 +474,54 @@ def _count_kernel(monkeypatch):
     return calls
 
 
-def test_band_distance_inf_costs_one_kernel_call(monkeypatch):
-    # the far-field check alone decides inf; the scan is not built for it
+def test_band_distance_inf_costs_no_kernel_call(monkeypatch):
+    # the far-field limit |sinc(p)| alone decides inf; the scan is not built
+    # for it (an offset no other test asks for, so no cache can answer)
     _band_clear()
     calls = _count_kernel(monkeypatch)
-    assert band_distance(-1.2e9, _BAND_FC, 0.9, _BAND_APERTURE, 0.5) == math.inf
-    assert len(calls) == 1
+    assert band_distance(-1.25e9, _BAND_FC, 0.9, _BAND_APERTURE, 0.5) == math.inf
+    assert calls == []
     assert regimes_mod._scan.cache_info().currsize == 0
+
+
+def test_band_distance_is_inf_where_the_far_field_limit_is_below_tau():
+    # just past the main-lobe edge of the README geometry at -20 dB the gain
+    # at the scan's far end still holds -20 dB, but |sinc(p)|, the gain's
+    # large-distance limit, is below it: no finite distance qualifies
+    fc, theta, tau = 39e9, math.radians(60), _db(-20.0)
+    aperture = 64 * 0.5 * C / fc
+    f = 1393355478.5754821
+    p = abs(f / fc * (aperture / (C / fc)) * math.sin(theta))
+    assert abs(np.sinc(p)) < tau
+    assert band_distance(f, fc, tau, aperture, theta) == math.inf
+
+
+def test_band_distance_is_inf_when_the_crossing_lies_past_the_scan(monkeypatch):
+    # |sinc(p)| holds tau, so the gain rises back to tau far out, but not by
+    # the scan's far end, 1e6x the Fraunhofer distance: the scan decides inf
+    _band_clear()
+    scans = []
+    kernel = regimes_mod._gain_pq
+    monkeypatch.setattr(regimes_mod, "_gain_pq",
+                        lambda p, g2: scans.append(kernel(p, g2)) or scans[-1])
+    f, tau = 667013124.8656023, _db(-1.0)
+    p = abs(f / _BAND_FC * (_BAND_APERTURE / (C / _BAND_FC)) * math.sin(0.5))
+    assert abs(np.sinc(p)) >= tau
+    assert band_distance(f, _BAND_FC, tau, _BAND_APERTURE, 0.5) == math.inf
+    (gains,) = scans
+    assert gains.size > 100 and gains[-1] < tau
+
+
+def test_band_distance_sidelobe_offsets_reach_the_scan_floor():
+    # below about -6.6 dB the first sidelobe of |sinc| (peak 0.217) holds tau:
+    # offsets there, past the main-lobe edge, keep a finite distance, here
+    # the scan floor, while offsets near the nulls either side of it are inf
+    tau, n = _db(-10.0), 64
+    edge = far_field_product(tau) * _BAND_FC / (n * 0.5 * math.sin(0.5))
+    for k in (1.5, 1.6):
+        assert band_distance(k * edge, _BAND_FC, tau, _BAND_APERTURE, 0.5) == 0.9690755657160376
+    for k in (1.2, 2.0):
+        assert band_distance(k * edge, _BAND_FC, tau, _BAND_APERTURE, 0.5) == math.inf
 
 
 @pytest.mark.parametrize("aperture", [1e-200, 4e-154, 2e102, 1e200])
@@ -490,21 +545,20 @@ def test_band_distance_scales_as_aperture_squared_up_to_the_range_edges(aperture
         unit * aperture**2, rel=1e-13)
 
 
-def test_band_distance_thresholds_share_the_check_and_the_scan(monkeypatch):
+def test_band_distance_thresholds_share_the_scan(monkeypatch):
     _band_clear()
     calls = _count_kernel(monkeypatch)
     first = band_distance(2e8, _BAND_FC, 0.9, _BAND_APERTURE, 0.5)
     assert math.isfinite(first)
-    far_g2, scan = calls[0], calls[1]
+    scan = calls[0]
     assert scan.size > 100
     calls.clear()
     second = band_distance(2e8, _BAND_FC, 0.6, _BAND_APERTURE, 0.5)
     assert math.isfinite(second) and second != first
-    # a second threshold at the offset: no far-field call and no scan call,
-    # only the probes of its own finish
-    assert regimes_mod._far_gain.cache_info().misses == 1
+    # a second threshold at the offset: no scan call, only the probes of its
+    # own finish
     assert regimes_mod._scan.cache_info().misses == 1
-    assert calls and not any(g2.size >= scan.size or far_g2 in g2 for g2 in calls)
+    assert calls and not any(g2.size >= scan.size for g2 in calls)
 
 
 def test_band_distance_against_40_digit_crossing():
@@ -545,9 +599,9 @@ def test_band_distance_bits_at_library_geometries(n, dbar, fc, theta, f, tau_db,
 def test_band_scan_is_shared_read_only():
     # the cache hands every caller the same arrays, so none may write them
     _band_clear()
-    rbars, gains = regimes_mod._scan(0.01, 64.0, 0.5, 10.0, 1e7, 50)
+    g2, gains = regimes_mod._scan(0.01, 64.0, 0.5, 10.0, 1e7, 50)
     assert regimes_mod._scan(0.01, 64.0, 0.5, 10.0, 1e7, 50)[1] is gains
-    for a in (rbars, gains):
+    for a in (g2, gains):
         with pytest.raises(ValueError):
             a[0] = 1.0
 
